@@ -43,6 +43,7 @@ from .embedding import (
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
+    lr_planar_rotation,
     rotations_equivalent,
     trace_faces,
 )

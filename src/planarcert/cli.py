@@ -59,11 +59,7 @@ def _load_json(path: str):
 
 
 def _config(args: argparse.Namespace) -> DecisionConfig:
-    return DecisionConfig(
-        node_budget=args.budget,
-        edge_bound_prefilter=not args.no_prefilter,
-        path=DecisionPath(args.via),
-    )
+    return DecisionConfig(node_budget=args.budget, path=DecisionPath(args.via))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -132,18 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--via",
         choices=[p.value for p in DecisionPath],
         default=DecisionPath.SUBDIVISION.value,
-        help="obstruction search used for the non-planar branch",
+        help="obstruction search that certifies a non-planar answer; it runs "
+        "only on graphs the left-right test rejects",
     )
     check.add_argument(
         "--validate",
         action="store_true",
         help="re-check the emitted verdict before printing",
     )
-    check.add_argument("--budget", type=int, default=10**9, help="oracle node budget")
     check.add_argument(
-        "--no-prefilter",
-        action="store_true",
-        help="disable the E <= 3V-6 edge-bound prefilter",
+        "--budget",
+        type=int,
+        default=10**9,
+        help="edge steps allowed to the left-right test (exit 3 when spent); "
+        "the obstruction searches are not bounded",
     )
     check.set_defaults(func=_cmd_check)
 

@@ -131,7 +131,7 @@ def rotation_from_doc(doc: Any) -> RotationSystem:
     _require(isinstance(doc, list), "rotation must be a list of neighbor cycles")
     for cyc in doc:
         _require(
-            isinstance(cyc, list) and all(isinstance(w, int) for w in cyc),
+            isinstance(cyc, list) and all(type(w) is int for w in cyc),
             "each rotation entry must be a list of vertex ids",
         )
     try:
@@ -150,13 +150,13 @@ def certificate_from_doc(doc: Any) -> SubdivisionCertificate:
     branch = doc.get("branch")
     paths = doc.get("paths")
     _require(
-        isinstance(branch, list) and all(isinstance(b, int) for b in branch),
+        isinstance(branch, list) and all(type(b) is int for b in branch),
         "certificate branch must be a list of vertex ids",
     )
     _require(
         isinstance(paths, list)
         and all(
-            isinstance(p, list) and all(isinstance(w, int) for w in p)
+            isinstance(p, list) and all(type(w) is int for w in p)
             for p in paths
         ),
         "certificate paths must be lists of vertex ids",

@@ -1,5 +1,6 @@
-"""Combinatorial embeddings: rotation systems, face tracing, genus, and the
-backtracking search for genus-0 (planar) rotation systems.
+"""Combinatorial embeddings: rotation systems, face tracing, genus, and two
+ways to find a genus-0 (planar) rotation system: the left-right planarity
+test and a backtracking search.
 
 A dart is an ordered pair (u, v): the end of edge {u, v} attached to u.
 A rotation system fixes a cyclic order of the darts leaving each vertex,
@@ -197,7 +198,7 @@ class _Budget:
             return
         self.remaining -= 1
         if self.remaining < 0:
-            raise SearchBudgetExceeded("embedding search budget exhausted")
+            raise SearchBudgetExceeded("search budget exhausted")
 
 
 def find_planar_rotation(
@@ -403,3 +404,307 @@ def _embed_component(
     if assign(0, total_darts):
         return dict(chosen)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Left-right planarity test
+# ---------------------------------------------------------------------------
+
+
+def lr_planar_rotation(
+    g: Graph, node_budget: int | None = None
+) -> RotationSystem | None:
+    """A genus-0 rotation system if g is planar, else None, by the
+    left-right planarity test.
+
+    De Fraysseix, Ossona de Mendez and Rosenstiehl characterize planarity
+    by a DFS (Tremaux) tree: g is planar iff its back edges can be split
+    into a left and a right class so that no two back edges of one class
+    conflict.  Brandes ("The Left-Right Planarity Test", 2009) gives the
+    linear-time form followed here, in four phases: orient g along a DFS
+    and compute lowpoints; test, collecting side constraints between
+    return edges in a stack of conflict pairs; resolve the relative sides
+    to absolute ones; and insert every back edge into its ancestor's
+    rotation on its side.  Each phase runs on explicit stacks, so depth
+    is bounded by memory, not by the interpreter's recursion limit.
+
+    Costs O(n + m) plus sorting each vertex's out-edges by nesting depth.
+    Graphs with n >= 3 and m > 3n - 6 are rejected before any work.
+    `node_budget` bounds the oriented edges; exceeding it raises
+    SearchBudgetExceeded.  The result is not self-certifying: callers
+    confirm genus 0 with trace_faces.
+    """
+    n, adj = g.n, g.adj
+    m = len(g.edges)
+    if n >= 3 and m > 3 * n - 6:
+        return None
+    budget = _Budget(node_budget)
+
+    # -- phase 1: DFS orientation; edge ids in orientation order ----------
+    height = [-1] * n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    nxt = [0] * n
+
+    def orient(v: int, w: int, low: int) -> int:
+        budget.tick()
+        e = len(src)
+        src.append(v)
+        dst.append(w)
+        lowpt.append(low)
+        lowpt2.append(height[v])
+        nesting.append(0)
+        out[v].append(e)
+        return e
+
+    def close(e: int) -> None:
+        """e's subtree is done: fix its nesting depth and fold its
+        lowpoints into the parent edge of its source."""
+        v = src[e]
+        low, low2 = lowpt[e], lowpt2[e]
+        nesting[e] = 2 * low + (low2 < height[v])  # +1: e is chordal
+        p = parent_edge[v]
+        if p < 0:
+            return
+        if low < lowpt[p]:
+            lowpt2[p] = min(lowpt[p], low2)
+            lowpt[p] = low
+        elif low > lowpt[p]:
+            lowpt2[p] = min(lowpt2[p], low)
+        else:
+            lowpt2[p] = min(lowpt2[p], low2)
+
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i == len(adj[v]):
+                stack.pop()
+                if parent_edge[v] >= 0:
+                    close(parent_edge[v])
+                continue
+            nxt[v] = i + 1
+            w = adj[v][i]
+            if height[w] < 0:  # tree edge
+                parent_edge[w] = orient(v, w, height[v])
+                parent[w] = v
+                height[w] = height[v] + 1
+                stack.append(w)
+            elif height[w] < height[v] and w != parent[v]:  # back edge
+                close(orient(v, w, height[w]))
+
+    key = nesting.__getitem__
+    for edges in out:
+        edges.sort(key=key)
+
+    # -- phase 2: testing --------------------------------------------------
+    # A conflict pair is [left low, left high, right low, right high]: two
+    # intervals of return edges, -1 for an empty end.  ref links each
+    # interval's edges and, after testing, relates sides of edges.
+    pairs: list[list[int]] = []
+    ref = [-1] * m
+    side = [1] * m
+    lowpt_edge = [-1] * m
+    bottom: list[list[int] | None] = [None] * m
+
+    def conflicting(hi: int, b: int) -> bool:
+        """Whether the interval with high end hi conflicts with edge b."""
+        return hi >= 0 and lowpt[hi] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [-1, -1, -1, -1]
+        # merge the return edges of ei into p's right interval
+        while True:
+            q = pairs.pop()
+            if q[0] >= 0:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if q[0] >= 0:
+                return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] < 0:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:  # align with e's lowest return edge
+                ref[q[2]] = lowpt_edge[e]
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+        # merge the return edges of earlier siblings that conflict with ei
+        # into p's left interval
+        while pairs:
+            q = pairs[-1]
+            if not (conflicting(q[1], ei) or conflicting(q[3], ei)):
+                break
+            pairs.pop()
+            if conflicting(q[3], ei):
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if conflicting(q[3], ei):
+                return False
+            if p[2] >= 0:
+                ref[p[2]] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if p[0] >= 0 or p[2] >= 0:
+            pairs.append(p)
+        return True
+
+    def lowest(q: list[int]) -> int:
+        if q[0] < 0:
+            return lowpt[q[2]]
+        if q[2] < 0:
+            return lowpt[q[0]]
+        return min(lowpt[q[0]], lowpt[q[2]])
+
+    def trim_back_edges(e: int) -> None:
+        """Drop the return edges ending at e's source u, then record the
+        edge whose side decides e's."""
+        u = src[e]
+        hu = height[u]
+        while pairs and lowest(pairs[-1]) == hu:
+            q = pairs.pop()
+            if q[0] >= 0:
+                side[q[0]] = -1
+        if pairs:
+            q = pairs[-1]
+            for lo, hi, other in ((0, 1, 2), (2, 3, 0)):
+                while q[hi] >= 0 and dst[q[hi]] == u:
+                    q[hi] = ref[q[hi]]
+                if q[hi] < 0 and q[lo] >= 0:  # interval just emptied
+                    ref[q[lo]] = q[other]
+                    side[q[lo]] = -1
+                    q[lo] = -1
+        if lowpt[e] < hu:
+            hl, hr = pairs[-1][1], pairs[-1][3]
+            if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    def integrate(v: int, ei: int, first: bool) -> bool:
+        """Fold the return edges of ei, an out-edge of v, into the
+        constraints of v's parent edge."""
+        if lowpt[ei] >= height[v]:
+            return True
+        e = parent_edge[v]
+        if first:
+            lowpt_edge[e] = lowpt_edge[ei]
+            return True
+        return add_constraints(ei, e)
+
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i == len(out[v]):
+                stack.pop()
+                e = parent_edge[v]
+                if e >= 0:
+                    trim_back_edges(e)
+                    u = src[e]
+                    if not integrate(u, e, nxt[u] == 1):
+                        return None
+                continue
+            nxt[v] = i + 1
+            ei = out[v][i]
+            bottom[ei] = pairs[-1] if pairs else None
+            w = dst[ei]
+            if ei == parent_edge[w]:
+                stack.append(w)
+                continue
+            lowpt_edge[ei] = ei
+            pairs.append([-1, -1, ei, ei])
+            if not integrate(v, ei, i == 0):
+                return None
+
+    # -- phase 3: absolute sides -------------------------------------------
+    for e in range(m):
+        chain = []
+        while ref[e] >= 0:
+            chain.append(e)
+            e = ref[e]
+        s = side[e]
+        for c in reversed(chain):
+            s = side[c] = side[c] * s
+            ref[c] = -1
+    for e in range(m):
+        nesting[e] *= side[e]
+    for edges in out:
+        edges.sort(key=key)
+
+    # -- phase 4: embedding ------------------------------------------------
+    # circular doubly linked neighbor lists, seeded with the out-edges
+    cw: list[dict[int, int]] = [{} for _ in range(n)]
+    ccw: list[dict[int, int]] = [{} for _ in range(n)]
+    for v in range(n):
+        ring = [dst[e] for e in out[v]]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            cw[v][a] = b
+            ccw[v][b] = a
+
+    def insert(v: int, x: int, after: int) -> None:
+        """Put x right after `after` in v's clockwise order."""
+        c, a = cw[v], ccw[v]
+        b = c[after]
+        c[after], a[x], c[x], a[b] = x, after, b, x
+
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i == len(out[v]):
+                stack.pop()
+                continue
+            nxt[v] = i + 1
+            ei = out[v][i]
+            w = dst[ei]
+            if ei == parent_edge[w]:  # v goes first in w's order
+                if out[w]:
+                    insert(w, v, ccw[w][dst[out[w][0]]])
+                else:
+                    cw[w][v] = ccw[w][v] = v
+                left_ref[v] = right_ref[v] = w
+                stack.append(w)
+            elif side[ei] == 1:  # right after the tree edge into w's subtree
+                insert(w, v, right_ref[w])
+            else:  # left: before the earlier left back edges
+                insert(w, v, ccw[w][left_ref[w]])
+                left_ref[w] = v
+
+    orders: list[tuple[int, ...]] = []
+    for v in range(n):
+        ring = cw[v]
+        if not ring:
+            orders.append(())
+            continue
+        start = adj[v][0]
+        cyc = [start]
+        w = ring[start]
+        while w != start:
+            cyc.append(w)
+            w = ring[w]
+        orders.append(tuple(cyc))
+    return RotationSystem(orders)

@@ -6,7 +6,7 @@ class CapacityError(ValueError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The embedding search ran out of its node budget before finishing.
+    """A search ran out of its node budget before finishing.
 
     Distinct from a negative answer: the search was cut off, not exhausted.
     """

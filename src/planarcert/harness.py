@@ -23,12 +23,13 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import CapacityError
 from .graphs import Graph, contract_edge, from_edge_mask
 from .lemmas import condition1, condition2, condition3
-from .planarity import DEFAULT_CONFIG, DecisionConfig, decide, decide_via_minor
-from .embedding import find_covering_planar_rotation, find_planar_rotation
+from .planarity import DEFAULT_CONFIG, DecisionConfig, decide_via_minor, route_bits
+from .embedding import find_covering_planar_rotation
 from .subdivision import (
     Pattern,
     find_kuratowski,
@@ -197,85 +198,61 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _three_way_bits(g: Graph, config: DecisionConfig) -> tuple[bool, bool, bool]:
-    sub = decide(g, config).planar
-    minor = decide_via_minor(g, config).planar
-    rho = find_planar_rotation(g, config.node_budget, config.edge_bound_prefilter)
-    return sub, minor, rho is not None
+def _route_agreement(
+    campaign: str, graphs: Iterable[tuple[int, int]], config: DecisionConfig
+) -> CampaignReport:
+    """Confront the four routes on every (n, edge mask) graph; the
+    subdivision route supplies the planar count."""
+    t0 = time.perf_counter()
+    examined = planar = nonplanar = 0
+    mismatches = []
+    for n, mask in graphs:
+        bits = route_bits(from_edge_mask(n, mask), config)
+        examined += 1
+        if bits.subdivision:
+            planar += 1
+        else:
+            nonplanar += 1
+        if not bits.agree:
+            mismatches.append((n, mask))
+    return CampaignReport(
+        campaign,
+        examined,
+        planar,
+        nonplanar,
+        tuple(mismatches),
+        time.perf_counter() - t0,
+    )
 
 
 def verify_kuratowski(
     max_n: int, config: DecisionConfig = DEFAULT_CONFIG
 ) -> CampaignReport:
-    """Subdivision route, minor route, and raw embedding search must agree
-    on every labeled graph with up to max_n vertices."""
+    """The left-right test, subdivision route, minor route and raw
+    embedding search must agree on every labeled graph with up to max_n
+    vertices."""
     if max_n > MAX_EXHAUSTIVE_N:
         raise CapacityError(
             f"labeled exhaustive mode supports max_n <= {MAX_EXHAUSTIVE_N}; "
             "use verify_kuratowski_classes for n = 7"
         )
-    t0 = time.perf_counter()
-    examined = planar = nonplanar = 0
-    mismatches = []
-    for n in range(1, max_n + 1):
-        bits = n * (n - 1) // 2
-        for mask in range(1 << bits):
-            g = from_edge_mask(n, mask)
-            sub, minor, emb = _three_way_bits(g, config)
-            examined += 1
-            if sub:
-                planar += 1
-            else:
-                nonplanar += 1
-            if not (sub == minor == emb):
-                mismatches.append((n, mask))
-    return CampaignReport(
-        "kuratowski",
-        examined,
-        planar,
-        nonplanar,
-        tuple(mismatches),
-        time.perf_counter() - t0,
+    graphs = (
+        (n, mask)
+        for n in range(1, max_n + 1)
+        for mask in range(1 << (n * (n - 1) // 2))
     )
+    return _route_agreement("kuratowski", graphs, config)
 
 
 def verify_kuratowski_classes(
     n: int = 7, config: DecisionConfig = DEFAULT_CONFIG
 ) -> CampaignReport:
-    """Same agreement check over one representative per isomorphism class;
-    the embedding search is consulted only when the edge bound allows a
-    planar embedding at all (E <= 3V - 6)."""
+    """Same four-route agreement over one representative per isomorphism
+    class of n-vertex graphs."""
     if n > MAX_CLASS_N:
         raise CapacityError(f"class mode supports n <= {MAX_CLASS_N}")
-    t0 = time.perf_counter()
-    examined = planar = nonplanar = 0
-    mismatches = []
-    oracle_cap = 3 * n - 6
-    for mask in enumerate_graph_class_masks(n):
-        g = from_edge_mask(n, mask)
-        sub = decide(g, config).planar
-        minor = decide_via_minor(g, config).planar
-        agree = sub == minor
-        if agree and len(g.edges) <= oracle_cap:
-            rho = find_planar_rotation(
-                g, config.node_budget, config.edge_bound_prefilter
-            )
-            agree = sub == (rho is not None)
-        examined += 1
-        if sub:
-            planar += 1
-        else:
-            nonplanar += 1
-        if not agree:
-            mismatches.append((n, mask))
-    return CampaignReport(
-        "kuratowski_classes",
-        examined,
-        planar,
-        nonplanar,
-        tuple(mismatches),
-        time.perf_counter() - t0,
-    )
+    graphs = ((n, mask) for mask in enumerate_graph_class_masks(n))
+    return _route_agreement("kuratowski_classes", graphs, config)
 
 
 def verify_lemma_characterization(max_n: int) -> CampaignReport:

@@ -2,18 +2,31 @@
 
 A verdict is either Planar, carrying a genus-0 rotation system and its
 faces, or NonPlanar, carrying a K5 or K3,3 subdivision certificate.  The
-subdivision (or minor) search is the decision authority; the embedding
-search only realizes the planar branch, and a graph with no obstruction
-for which no planar rotation can be found is reported as an internal
-inconsistency, never as a verdict.
+left-right planarity test is the decision authority.  Its planar answer is
+returned only after face tracing confirms genus 0; a graph it rejects gets
+its certificate from the configured obstruction search (subdivision, or
+minor converted to subdivision), and a rejected graph with no obstruction
+is reported as an internal inconsistency, never as a verdict.
+
+The subdivision search, the minor search and the backtracking embedding
+search stay as independent oracles: route_bits confronts all four routes
+on one graph, and the harness campaigns run it over every small graph.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .embedding import FaceSet, RotationSystem, find_planar_rotation, trace_faces
+from .embedding import (
+    FaceSet,
+    RotationSystem,
+    find_planar_rotation,
+    genus,
+    lr_planar_rotation,
+    trace_faces,
+)
 from .errors import InternalInconsistencyError
 from .graphs import Graph
 from .subdivision import (
@@ -32,8 +45,11 @@ class DecisionPath(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionConfig:
+    """`node_budget` bounds the left-right test's oriented edges (and the
+    embedding oracle's cyclic orders); `path` picks the obstruction search
+    that certifies a non-planar answer."""
+
     node_budget: int = 10**9
-    edge_bound_prefilter: bool = True
     path: DecisionPath = DecisionPath.SUBDIVISION
 
     def __post_init__(self) -> None:
@@ -52,43 +68,69 @@ class Verdict:
     certificate: SubdivisionCertificate | None = None
 
 
-def _planar_verdict(g: Graph, config: DecisionConfig) -> Verdict:
-    rho = find_planar_rotation(g, config.node_budget, config.edge_bound_prefilter)
-    if rho is None:
-        raise InternalInconsistencyError(
-            "no obstruction found, yet no planar rotation exists"
-        )
-    faces = trace_faces(g, rho)
-    if faces.genus != 0:
-        raise InternalInconsistencyError("oracle returned a non-planar rotation")
-    return Verdict(planar=True, rotation=rho, faces=faces)
+def _minor_certificate(g: Graph) -> SubdivisionCertificate | None:
+    minor = find_minor(g, Pattern.K5) or find_minor(g, Pattern.K33)
+    return None if minor is None else minor_to_subdivision(g, minor)
 
 
 def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
-    """Planar embedding or Kuratowski certificate, per the configured path."""
+    """Planar embedding or Kuratowski certificate.
+
+    Planarity is decided by the left-right test; the obstruction search
+    named by config.path runs only on graphs the test rejects."""
+    rho = lr_planar_rotation(g, config.node_budget)
+    if rho is not None:
+        faces = trace_faces(g, rho)
+        if faces.genus != 0:
+            raise InternalInconsistencyError(
+                "left-right test returned a non-planar rotation"
+            )
+        return Verdict(planar=True, rotation=rho, faces=faces)
     if config.path is DecisionPath.MINOR:
-        return decide_via_minor(g, config)
-    cert = find_kuratowski(g)
-    if cert is not None:
-        return Verdict(planar=False, certificate=cert)
-    return _planar_verdict(g, config)
+        cert = _minor_certificate(g)
+    else:
+        cert = find_kuratowski(g)
+    if cert is None:
+        raise InternalInconsistencyError(
+            "left-right test rejected a graph with no K5/K3,3 obstruction"
+        )
+    return Verdict(planar=False, certificate=cert)
 
 
 def decide_via_minor(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
-    """Like decide, but non-planarity is detected by minor search and the
-    witness converted to a subdivision certificate."""
-    minor = find_minor(g, Pattern.K5) or find_minor(g, Pattern.K33)
-    if minor is not None:
-        cert = minor_to_subdivision(g, minor)
-        return Verdict(planar=False, certificate=cert)
-    return _planar_verdict(g, config)
+    """decide with the minor search certifying non-planar answers."""
+    return decide(g, replace(config, path=DecisionPath.MINOR))
+
+
+class RouteBits(NamedTuple):
+    """The planarity bit of each independent route on one graph."""
+
+    left_right: bool
+    subdivision: bool
+    minor: bool
+    embedding: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.left_right == self.subdivision == self.minor == self.embedding
+
+
+def route_bits(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> RouteBits:
+    """Run each of the four routes once: the left-right test and the
+    backtracking embedding search (each rotation checked for genus 0),
+    the subdivision search, and the minor search with its conversion to a
+    subdivision certificate."""
+    lr = lr_planar_rotation(g, config.node_budget)
+    emb = find_planar_rotation(g, config.node_budget)
+    return RouteBits(
+        left_right=lr is not None and genus(g, lr) == 0,
+        subdivision=find_kuratowski(g) is None,
+        minor=_minor_certificate(g) is None,
+        embedding=emb is not None and genus(g, emb) == 0,
+    )
 
 
 def cross_check(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> bool:
-    """True iff the subdivision route, the minor route, and the raw
-    embedding search all agree on planarity.  Disagreement returns False
-    rather than raising."""
-    sub = decide(g, config)
-    minor = decide_via_minor(g, config)
-    rho = find_planar_rotation(g, config.node_budget, config.edge_bound_prefilter)
-    return sub.planar == minor.planar == (rho is not None)
+    """True iff all four routes agree on planarity.  Disagreement returns
+    False rather than raising."""
+    return route_bits(g, config).agree

@@ -25,3 +25,21 @@ def all_graphs_up_to_5():
     for n in range(0, 6):
         out.extend(enumerate_labeled_graphs(n))
     return out
+
+
+def grid_graph(rows: int, cols: int, diagonals: bool = False):
+    """rows x cols grid, optionally with one diagonal per square (a
+    triangulated grid); planar either way."""
+    from planarcert.graphs import Graph
+
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+            if diagonals and i + 1 < rows and j + 1 < cols:
+                edges.append((v, v + cols + 1))
+    return Graph(rows * cols, edges)

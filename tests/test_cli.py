@@ -11,10 +11,16 @@ from planarcert.documents import (
     verdict_doc_is_valid,
     verdict_to_doc,
 )
-from planarcert.graphs import Graph, complete_graph, cube_graph, petersen_graph
+from planarcert.graphs import (
+    Graph,
+    complete_graph,
+    cube_graph,
+    path_graph,
+    petersen_graph,
+)
 from planarcert.planarity import decide
 
-from conftest import graphs
+from conftest import graphs, grid_graph
 
 
 @pytest.fixture
@@ -144,6 +150,52 @@ def test_check_budget_exhaustion_exits_3(capsys, write):
     code, _, err = run(capsys, ["check", path, "--budget", "2"])
     assert code == 3
     assert "budget" in err
+
+
+def test_check_5x5_grid_within_budget_exits_0(capsys, write):
+    # the left-right test spends one step per edge: 40 here
+    path = write("grid5.edges", format_edge_list(grid_graph(5, 5)))
+    code, _, _ = run(capsys, ["check", path, "--budget", "1000"])
+    assert code == 0
+
+
+def test_check_validate_long_path_exits_0(capsys, write):
+    path = write("path.edges", format_edge_list(path_graph(3000)))
+    code, out, _ = run(capsys, ["check", path, "--validate"])
+    assert code == 0
+    assert json.loads(out)["euler"]["V"] == 3000
+
+
+def test_large_planar_verdicts_pass_certify(capsys, write):
+    for name, g in (
+        ("grid30", grid_graph(30, 30)),
+        ("tri32", grid_graph(32, 32, diagonals=True)),
+    ):
+        gpath = write(f"{name}.edges", format_edge_list(g))
+        code, out, _ = run(capsys, ["check", gpath, "--validate"])
+        assert code == 0
+        vpath = write(f"{name}.json", out)
+        code, _, _ = run(capsys, ["certify", gpath, vpath])
+        assert code == 0
+
+
+def test_certify_rejects_boolean_vertex_ids(capsys, write):
+    edge = write("edge.edges", "n 2\n0 1\n")
+    vpath = write("bool.json", '{"status": "planar", "rotation": [[true], [false]]}')
+    code, _, err = run(capsys, ["certify", edge, vpath])
+    assert code == 2
+    assert "vertex ids" in err
+
+    k5 = complete_graph(5)
+    k5path = write("k5.edges", format_edge_list(k5))
+    doc = verdict_to_doc(k5, decide(k5))
+    swap = {0: False, 1: True}
+    cert = doc["certificate"]
+    cert["branch"] = [swap.get(w, w) for w in cert["branch"]]
+    cert["paths"] = [[swap.get(w, w) for w in p] for p in cert["paths"]]
+    vpath = write("k5bool.json", json.dumps(doc))
+    code, _, _ = run(capsys, ["certify", k5path, vpath])
+    assert code == 2
 
 
 def test_certify_round_trip(capsys, write, tmp_path):

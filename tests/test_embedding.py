@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from planarcert.embedding import (
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
+    lr_planar_rotation,
     rotations_equivalent,
     trace_faces,
 )
@@ -19,17 +22,19 @@ from planarcert.graphs import (
     are_isomorphic,
     complete_bipartite,
     complete_graph,
+    cube_graph,
     cycle_graph,
     delete_edge,
     enumerate_labeled_graphs,
     normalize_edge,
     path_graph,
     petersen_graph,
+    subdivide_edge,
     theta_graph,
 )
 from planarcert.subdivision import contains_theta
 
-from conftest import graphs
+from conftest import graphs, grid_graph
 
 
 def brute_trace(g, rho):
@@ -181,6 +186,56 @@ def test_prefilter_can_be_disabled():
 def test_budget_exhaustion_raises():
     with pytest.raises(SearchBudgetExceeded):
         find_planar_rotation(complete_bipartite(3, 3), node_budget=3)
+    with pytest.raises(SearchBudgetExceeded):
+        lr_planar_rotation(cube_graph(), node_budget=2)
+
+
+def test_lr_examples():
+    for g in (complete_graph(4), cube_graph(), path_graph(1), Graph(3), theta_graph()):
+        rho = lr_planar_rotation(g)
+        assert rho is not None and genus(g, rho) == 0
+    for g in (complete_graph(5), complete_bipartite(3, 3), petersen_graph()):
+        assert lr_planar_rotation(g) is None
+    # m > 3n - 6 is rejected before the first oriented edge
+    assert lr_planar_rotation(complete_graph(7), node_budget=1) is None
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _random_triangulated_piece(rng):
+    grid = grid_graph(rng.randint(1, 14), rng.randint(1, 14), diagonals=True)
+    keep = rng.uniform(0.5, 1.0)
+    return Graph(grid.n, [e for e in grid.sorted_edges() if rng.random() < keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lr_embeds_relabeled_triangulated_grid_pieces(seed):
+    rng = random.Random(seed)
+    g = _relabeled(_random_triangulated_piece(rng), rng)
+    rho = lr_planar_rotation(g)
+    assert rho is not None
+    assert genus(g, rho) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["K5", "K33"]))
+def test_lr_rejects_pieces_joined_to_a_subdivided_obstruction(seed, pattern):
+    rng = random.Random(seed)
+    piece = _random_triangulated_piece(rng)
+    obstruction = complete_graph(5) if pattern == "K5" else complete_bipartite(3, 3)
+    for e in obstruction.sorted_edges():
+        if rng.random() < 0.5:
+            obstruction = subdivide_edge(obstruction, e)
+    k = piece.n
+    edges = list(piece.edges) + [(u + k, v + k) for u, v in obstruction.edges]
+    edges.append((rng.randrange(k), k + rng.randrange(obstruction.n)))
+    g = _relabeled(Graph(k + obstruction.n, edges), rng)
+    assert lr_planar_rotation(g) is None
 
 
 def test_face_boundary_examples():

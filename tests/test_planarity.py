@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from planarcert.embedding import genus
-from planarcert.errors import SearchBudgetExceeded
+from planarcert.errors import InternalInconsistencyError, SearchBudgetExceeded
 from planarcert.graphs import (
     Graph,
     complete_bipartite,
@@ -19,6 +19,7 @@ from planarcert.planarity import (
     cross_check,
     decide,
     decide_via_minor,
+    route_bits,
 )
 from planarcert.subdivision import Pattern, find_subdivision, validate_subdivision
 
@@ -106,6 +107,24 @@ def test_budget_error_is_distinct_from_verdict():
         decide(cube_graph(), DecisionConfig(node_budget=2))
 
 
+def test_decide_never_returns_an_uncertified_verdict(monkeypatch):
+    import planarcert.planarity as planarity
+    from planarcert.embedding import RotationSystem
+
+    k4 = complete_graph(4)
+    monkeypatch.setattr(planarity, "lr_planar_rotation", lambda g, budget: None)
+    with pytest.raises(InternalInconsistencyError):
+        decide(k4)
+    with pytest.raises(InternalInconsistencyError):
+        decide(k4, DecisionConfig(path=DecisionPath.MINOR))
+    # a genus-1 rotation of K4 is never passed off as planar
+    toroidal = RotationSystem([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+    assert genus(k4, toroidal) != 0
+    monkeypatch.setattr(planarity, "lr_planar_rotation", lambda g, budget: toroidal)
+    with pytest.raises(InternalInconsistencyError):
+        decide(k4)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DecisionConfig(node_budget=0)
@@ -115,6 +134,9 @@ def test_cross_check_examples():
     assert cross_check(complete_graph(5))
     assert cross_check(complete_graph(4))
     assert cross_check(petersen_graph())
+    assert cross_check(cube_graph())
+    bits = route_bits(cube_graph())
+    assert bits == (True, True, True, True) and bits.agree
 
 
 @settings(max_examples=60, deadline=None)
