@@ -37,12 +37,14 @@ from .embedding import (
     Dart,
     FaceSet,
     RotationSystem,
+    StepBudget,
     enumerate_rotation_systems,
     face_boundary,
     face_covering_all_edges,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
+    lr_kuratowski,
     lr_planar_rotation,
     rotations_equivalent,
     trace_faces,

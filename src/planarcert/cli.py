@@ -8,6 +8,7 @@ internal error.  Graph arguments are edge-list files, ``-`` for stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -115,7 +116,10 @@ def _cmd_harness(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="planarcert",
         description="Decide planarity with a checkable certificate either way.",
@@ -128,8 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--via",
         choices=[p.value for p in DecisionPath],
         default=DecisionPath.SUBDIVISION.value,
-        help="obstruction search that certifies a non-planar answer; it runs "
-        "only on graphs the left-right test rejects",
+        help="route that certifies a non-planar answer: a Kuratowski "
+        "subdivision extracted with the left-right test (default), or the "
+        "minor search; it runs only on graphs the left-right test rejects",
     )
     check.add_argument(
         "--validate",
@@ -140,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=10**9,
-        help="edge steps allowed to the left-right test (exit 3 when spent); "
-        "the obstruction searches are not bounded",
+        help="edge steps allowed to the left-right test and the Kuratowski "
+        "extraction together (exit 3 when spent); the minor search is not "
+        "bounded",
     )
     check.set_defaults(func=_cmd_check)
 

@@ -1,6 +1,7 @@
 """Combinatorial embeddings: rotation systems, face tracing, genus, and two
 ways to find a genus-0 (planar) rotation system: the left-right planarity
-test and a backtracking search.
+test and a backtracking search.  A graph the left-right test rejects gets
+a Kuratowski subdivision extracted with the same test as its oracle.
 
 A dart is an ordered pair (u, v): the end of edge {u, v} attached to u.
 A rotation system fixes a cyclic order of the darts leaving each vertex,
@@ -20,11 +21,14 @@ keeps the Euler count exact.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import SearchBudgetExceeded
+from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph, normalize_edge
+from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 
 Dart = tuple[int, int]
 
@@ -127,7 +131,11 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
     c = g.component_count()
     v_count, e_count, f_count = g.n, len(g.edges), len(walks)
     doubled = 2 * c - v_count + e_count - f_count
-    assert doubled >= 0 and doubled % 2 == 0
+    if doubled < 0 or doubled % 2:
+        raise InternalInconsistencyError(
+            f"Euler count 2c - V + E - F = {doubled} is not a non-negative "
+            "even number"
+        )
     return FaceSet(tuple(walks), v_count, e_count, f_count, c, doubled // 2)
 
 
@@ -187,7 +195,10 @@ def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
+class StepBudget:
+    """A count of search steps that several searches can draw on together;
+    a limit of None never runs out."""
+
     __slots__ = ("remaining",)
 
     def __init__(self, limit: int | None) -> None:
@@ -199,6 +210,12 @@ class _Budget:
         self.remaining -= 1
         if self.remaining < 0:
             raise SearchBudgetExceeded("search budget exhausted")
+
+
+def _step_budget(node_budget: int | StepBudget | None) -> StepBudget:
+    if isinstance(node_budget, StepBudget):
+        return node_budget
+    return StepBudget(node_budget)
 
 
 def find_planar_rotation(
@@ -223,7 +240,7 @@ def find_planar_rotation(
     distinct from a planarity verdict.  The prefilter rejects any
     component with more than 3V - 6 edges outright.
     """
-    budget = _Budget(node_budget)
+    budget = StepBudget(node_budget)
     orders: list[tuple[int, ...]] = [()] * g.n
     for comp in g.components():
         found = _embed_component(g, comp, budget, edge_bound_prefilter, None)
@@ -248,7 +265,7 @@ def find_covering_planar_rotation(
     comps = g.components()
     if sum(1 for c in comps if any(g.adj[v] for v in c)) > 1:
         return None
-    budget = _Budget(node_budget)
+    budget = StepBudget(node_budget)
     orders: list[tuple[int, ...]] = [()] * g.n
     for comp in comps:
         edge_total = sum(len(g.adj[v]) for v in comp) // 2
@@ -287,7 +304,7 @@ def _has_covering_face(succ: dict[Dart, Dart], edge_total: int) -> bool:
 def _embed_component(
     g: Graph,
     comp: tuple[int, ...],
-    budget: _Budget,
+    budget: StepBudget,
     prefilter: bool,
     accept: Callable[[dict[Dart, Dart]], bool] | None,
 ) -> dict[int, tuple[int, ...]] | None:
@@ -412,7 +429,7 @@ def _embed_component(
 
 
 def lr_planar_rotation(
-    g: Graph, node_budget: int | None = None
+    g: Graph, node_budget: int | StepBudget | None = None
 ) -> RotationSystem | None:
     """A genus-0 rotation system if g is planar, else None, by the
     left-right planarity test.
@@ -430,15 +447,16 @@ def lr_planar_rotation(
 
     Costs O(n + m) plus sorting each vertex's out-edges by nesting depth.
     Graphs with n >= 3 and m > 3n - 6 are rejected before any work.
-    `node_budget` bounds the oriented edges; exceeding it raises
-    SearchBudgetExceeded.  The result is not self-certifying: callers
-    confirm genus 0 with trace_faces.
+    `node_budget` bounds the oriented edges, and may be a StepBudget
+    shared with other calls; exceeding it raises SearchBudgetExceeded.
+    The result is not self-certifying: callers confirm genus 0 with
+    trace_faces.
     """
     n, adj = g.n, g.adj
     m = len(g.edges)
     if n >= 3 and m > 3 * n - 6:
         return None
-    budget = _Budget(node_budget)
+    budget = _step_budget(node_budget)
 
     # -- phase 1: DFS orientation; edge ids in orientation order ----------
     height = [-1] * n
@@ -708,3 +726,171 @@ def lr_planar_rotation(
             w = ring[w]
         orders.append(tuple(cyc))
     return RotationSystem(orders)
+
+
+# ---------------------------------------------------------------------------
+# Kuratowski extraction
+# ---------------------------------------------------------------------------
+
+
+def lr_kuratowski(
+    g: Graph, node_budget: int | StepBudget | None = None
+) -> SubdivisionCertificate:
+    """A K5 or K3,3 subdivision in g, found with the left-right test as the
+    only oracle.
+
+    Works on a reduced copy H of g whose edges each stand for a path of g:
+    degree-1 vertices are pruned, each degree-2 vertex is suppressed into
+    one chain edge, and a chain whose ends are already adjacent is dropped,
+    since a parallel edge never changes planarity.  Blocks of about a
+    quarter of H's edges, drawn from a shuffled queue, are deleted while
+    the test still rejects what remains, and H is re-reduced around every
+    deletion.  A block H cannot lose is halved, and each half is tested
+    in turn.  A single edge H cannot lose stays, and so does any chain suppression builds through it: every later H is a
+    subgraph of a subdivision of the one that needed it.  Extraction stops
+    when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9 edges:
+    minimum degree 3 makes H cubic, and the other cubic graph on 6
+    vertices, the prism, is planar).  The certificate expands the chains
+    back into paths of g and must pass validate_subdivision.
+
+    Each test runs on H relabeled to compact ids, so it costs O(|H|), not
+    O(n).  `node_budget` bounds the oriented edges over all tests together,
+    and may be a StepBudget shared with other calls; exceeding it raises
+    SearchBudgetExceeded.  A graph the test accepts, an
+    H of any other final shape, or a certificate that fails validation
+    raises InternalInconsistencyError.
+    """
+    budget = _step_budget(node_budget)
+    # H: edge e joins ends[e][0] to ends[e][1]; an edge built by suppressing
+    # vertex v has parts[e] = (edge from ends[e][0] to v, v, edge from v to
+    # ends[e][1]), an edge of g has parts[e] = None
+    nbr: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
+    ends: list[tuple[int, int]] = sorted(g.edges)
+    parts: list[tuple[int, int, int] | None] = [None] * len(ends)
+    for e, (u, v) in enumerate(ends):
+        nbr[u][v] = nbr[v][u] = e
+    alive = set(range(len(ends)))
+    # a shuffled queue scatters each block over H: edges with nearby labels
+    # are often nearby in the graph, and deleting such a band tends to cut
+    # every obstruction at once
+    order = list(range(len(ends)))
+    random.Random(0).shuffle(order)
+    queue = deque(order)
+    kept: set[int] = set()  # edges H cannot lose
+
+    def remove(e: int) -> tuple[int, int]:
+        a, b = ends[e]
+        alive.discard(e)
+        del nbr[a][b], nbr[b][a]
+        return a, b
+
+    def reduce(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            around = nbr.get(v)
+            if around is None or len(around) > 2:
+                continue
+            items = list(around.items())
+            for _, e in items:
+                remove(e)
+            del nbr[v]
+            if len(items) < 2:
+                stack.extend(w for w, _ in items)
+                continue
+            (a, ea), (b, eb) = items
+            if b in nbr[a]:  # parallel chain: drop it
+                stack += (a, b)
+                continue
+            e = len(ends)
+            ends.append((a, b))
+            parts.append((ea, v, eb))
+            nbr[a][b] = nbr[b][a] = e
+            alive.add(e)
+            if ea in kept or eb in kept:
+                kept.add(e)
+            else:
+                queue.append(e)
+
+    def rejected_without(block: list[int]) -> bool:
+        drop = set(block)
+        ids = {v: i for i, v in enumerate(nbr)}
+        h = Graph(
+            len(ids),
+            [(ids[ends[e][0]], ids[ends[e][1]]) for e in alive if e not in drop],
+        )
+        return lr_planar_rotation(h, budget) is None
+
+    def settled() -> bool:
+        return (len(nbr), len(alive)) in ((5, 10), (6, 9))
+
+    reduce(list(range(g.n)))
+    if not settled() and not rejected_without([]):
+        raise InternalInconsistencyError(
+            "left-right test accepts the graph: no obstruction to extract"
+        )
+    halves: list[list[int]] = []  # of blocks H could not lose, next on top
+    while not settled():
+        if halves:
+            block = [e for e in halves.pop() if e in alive]
+            if not block:
+                continue
+        else:
+            block = []
+            size = max(1, len(alive) // 4)
+            while queue and len(block) < size:
+                e = queue.popleft()
+                if e in alive:
+                    block.append(e)
+            if not block:
+                break
+        if rejected_without(block):
+            stack: list[int] = []
+            for e in block:
+                stack += remove(e)
+            reduce(stack)
+        elif len(block) == 1:
+            kept.add(block[0])
+        else:
+            half = (len(block) + 1) // 2
+            halves += (block[half:], block[:half])
+    if not settled():
+        raise InternalInconsistencyError(
+            f"extraction ended with {len(nbr)} vertices and {len(alive)} "
+            "edges, neither K5 nor K3,3"
+        )
+
+    def expand(e: int, start: int) -> tuple[int, ...]:
+        """The path of g that H edge e stands for, from its end `start`."""
+        path = [start]
+        todo = [(e, start)]
+        while todo:
+            e, u = todo.pop()
+            a, b = ends[e]
+            split = parts[e]
+            if split is None:
+                path.append(b if u == a else a)
+            elif u == a:
+                todo += ((split[2], split[1]), (split[0], a))
+            else:
+                todo += ((split[0], split[1]), (split[2], b))
+        return tuple(path)
+
+    verts = sorted(nbr)
+    if len(verts) == 5:
+        pattern, branch = Pattern.K5, tuple(verts)
+    else:  # one side of K3,3 is the neighborhood of any branch vertex
+        side = sorted(nbr[verts[0]])
+        pattern = Pattern.K33
+        branch = tuple([v for v in verts if v not in side] + side)
+    paths = []
+    for i, j in pattern.edge_list:
+        e = nbr[branch[i]].get(branch[j])
+        if e is None:
+            raise InternalInconsistencyError(
+                "extraction ended with a cubic graph on 6 vertices that is not K3,3"
+            )
+        paths.append(expand(e, branch[i]))
+    cert = SubdivisionCertificate(pattern, branch, tuple(paths))
+    if not validate_subdivision(g, cert):
+        raise InternalInconsistencyError("extracted certificate does not validate")
+    return cert

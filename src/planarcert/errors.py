@@ -13,4 +13,6 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """Two decision routes that must agree produced different answers."""
+    """An invariant of the decision failed: two routes that must agree
+    produced different answers, or a certificate or face count came out
+    malformed."""

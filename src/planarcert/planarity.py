@@ -4,8 +4,9 @@ A verdict is either Planar, carrying a genus-0 rotation system and its
 faces, or NonPlanar, carrying a K5 or K3,3 subdivision certificate.  The
 left-right planarity test is the decision authority.  Its planar answer is
 returned only after face tracing confirms genus 0; a graph it rejects gets
-its certificate from the configured obstruction search (subdivision, or
-minor converted to subdivision), and a rejected graph with no obstruction
+its certificate from the configured route: a Kuratowski subdivision
+extracted with the same test as its oracle (the default), or the minor
+search converted to a subdivision.  A rejected graph with no obstruction
 is reported as an internal inconsistency, never as a verdict.
 
 The subdivision search, the minor search and the backtracking embedding
@@ -22,8 +23,10 @@ from typing import NamedTuple
 from .embedding import (
     FaceSet,
     RotationSystem,
+    StepBudget,
     find_planar_rotation,
     genus,
+    lr_kuratowski,
     lr_planar_rotation,
     trace_faces,
 )
@@ -45,9 +48,10 @@ class DecisionPath(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    """`node_budget` bounds the left-right test's oriented edges (and the
-    embedding oracle's cyclic orders); `path` picks the obstruction search
-    that certifies a non-planar answer."""
+    """`node_budget` bounds the left-right test's oriented edges over the
+    decision and the Kuratowski extraction together (and the embedding
+    oracle's cyclic orders); `path` picks the route that certifies a
+    non-planar answer.  The minor search is not bounded."""
 
     node_budget: int = 10**9
     path: DecisionPath = DecisionPath.SUBDIVISION
@@ -76,9 +80,10 @@ def _minor_certificate(g: Graph) -> SubdivisionCertificate | None:
 def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
     """Planar embedding or Kuratowski certificate.
 
-    Planarity is decided by the left-right test; the obstruction search
+    Planarity is decided by the left-right test; the certifying route
     named by config.path runs only on graphs the test rejects."""
-    rho = lr_planar_rotation(g, config.node_budget)
+    budget = StepBudget(config.node_budget)
+    rho = lr_planar_rotation(g, budget)
     if rho is not None:
         faces = trace_faces(g, rho)
         if faces.genus != 0:
@@ -89,7 +94,7 @@ def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
     if config.path is DecisionPath.MINOR:
         cert = _minor_certificate(g)
     else:
-        cert = find_kuratowski(g)
+        cert = lr_kuratowski(g, budget)
     if cert is None:
         raise InternalInconsistencyError(
             "left-right test rejected a graph with no K5/K3,3 obstruction"
@@ -103,9 +108,10 @@ def decide_via_minor(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdi
 
 
 class RouteBits(NamedTuple):
-    """The planarity bit of each independent route on one graph."""
+    """The planarity bit of each independent route on one graph.  The
+    left-right bit is None when that route cannot certify its answer."""
 
-    left_right: bool
+    left_right: bool | None
     subdivision: bool
     minor: bool
     embedding: bool
@@ -116,18 +122,30 @@ class RouteBits(NamedTuple):
 
 
 def route_bits(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> RouteBits:
-    """Run each of the four routes once: the left-right test and the
-    backtracking embedding search (each rotation checked for genus 0),
-    the subdivision search, and the minor search with its conversion to a
+    """Run each of the four routes once: the left-right test (a rotation
+    checked for genus 0, or a Kuratowski extraction that validates), the
+    backtracking embedding search (its rotation checked for genus 0), the
+    subdivision search, and the minor search with its conversion to a
     subdivision certificate."""
-    lr = lr_planar_rotation(g, config.node_budget)
     emb = find_planar_rotation(g, config.node_budget)
     return RouteBits(
-        left_right=lr is not None and genus(g, lr) == 0,
+        left_right=_left_right_bit(g, config.node_budget),
         subdivision=find_kuratowski(g) is None,
         minor=_minor_certificate(g) is None,
         embedding=emb is not None and genus(g, emb) == 0,
     )
+
+
+def _left_right_bit(g: Graph, node_budget: int) -> bool | None:
+    budget = StepBudget(node_budget)
+    rho = lr_planar_rotation(g, budget)
+    if rho is not None:
+        return True if genus(g, rho) == 0 else None
+    try:
+        lr_kuratowski(g, budget)  # validates its certificate or raises
+    except InternalInconsistencyError:
+        return None
+    return False
 
 
 def cross_check(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> bool:

@@ -22,6 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
+from .errors import InternalInconsistencyError
 from .graphs import (
     Edge,
     Graph,
@@ -580,7 +581,10 @@ def lift_certificate(
     for old in range(g.n):
         if old not in (x, y):
             new = vmap[old]
-            assert new is not None
+            if new is None:
+                raise InternalInconsistencyError(
+                    f"contraction of ({x}, {y}) dropped vertex {old}"
+                )
             inv[new] = old
 
     def t(w: int) -> int:
@@ -607,7 +611,10 @@ def lift_certificate(
             if g.has_edge(a, cand[0]) and g.has_edge(cand[-1], b):
                 splice = cand
                 break
-        assert splice is not None, "contracted adjacency has no preimage"
+        if splice is None:
+            raise InternalInconsistencyError(
+                "contracted adjacency has no preimage"
+            )
         new_paths = [
             t_path(p) if j != i else () for j, p in enumerate(cert.paths)
         ]
@@ -656,10 +663,11 @@ def _lift_branch_case(
     flex = [i for i in incident if i not in fixed_x and i not in fixed_y]
 
     new_branch = [-1 if b == z else t(b) for b in cert.branch]
-    new_paths: list[tuple[int, ...] | None] = [
-        None if i in incident else tuple(t(w) for w in cert.paths[i])
+    new_paths = {
+        i: tuple(t(w) for w in cert.paths[i])
         for i in range(len(edge_list))
-    ]
+        if i not in incident
+    }
 
     if not fixed_y or not fixed_x:
         # every strand can hang off one end; ties go to x
@@ -682,14 +690,17 @@ def _lift_branch_case(
                 new_paths[i] = (major,) + tail[i]
     else:
         # 2-2 split of a degree-4 branch vertex: K5 only
-        assert pattern is Pattern.K5 and not flex
+        if pattern is not Pattern.K5 or flex:
+            raise InternalInconsistencyError(
+                f"{pattern.value} branch vertex split between both ends of "
+                "the contracted edge"
+            )
         return _rebuild_k33(g, x, y, cert, pz, fixed_x, fixed_y, tail, inv)
 
     # restore the pattern-edge orientation (branch[pu] first)
     out = []
     for i, (pu, pv) in enumerate(edge_list):
         path = new_paths[i]
-        assert path is not None
         if path[0] != new_branch[pu]:
             path = path[::-1]
         out.append(path)

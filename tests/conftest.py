@@ -43,3 +43,21 @@ def grid_graph(rows: int, cols: int, diagonals: bool = False):
             if diagonals and i + 1 < rows and j + 1 < cols:
                 edges.append((v, v + cols + 1))
     return Graph(rows * cols, edges)
+
+
+def k33_in_grid(side: int):
+    """A side x side grid (side >= 3) with three chords joining opposite
+    points of six spread evenly around its outer cycle: a hexagon with its
+    three long diagonals, so a K3,3 subdivision around a planar bulk."""
+    from planarcert.graphs import Graph
+
+    last = side - 1
+    ring = (
+        list(range(last))
+        + [r * side + last for r in range(last)]
+        + [last * side + c for c in range(last, 0, -1)]
+        + [r * side for r in range(last, 0, -1)]
+    )
+    hexagon = [ring[k * len(ring) // 6] for k in range(6)]
+    chords = [(hexagon[k], hexagon[k + 3]) for k in range(3)]
+    return Graph(side * side, list(grid_graph(side, side).edges) + chords)

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from planarcert.cli import main
+from planarcert.cli import build_parser, main
 from planarcert.documents import (
     DocumentError,
     format_edge_list,
@@ -11,6 +11,7 @@ from planarcert.documents import (
     verdict_doc_is_valid,
     verdict_to_doc,
 )
+from planarcert.embedding import lr_planar_rotation
 from planarcert.graphs import (
     Graph,
     complete_graph,
@@ -20,7 +21,7 @@ from planarcert.graphs import (
 )
 from planarcert.planarity import decide
 
-from conftest import graphs, grid_graph
+from conftest import graphs, grid_graph, k33_in_grid
 
 
 @pytest.fixture
@@ -157,6 +158,44 @@ def test_check_5x5_grid_within_budget_exits_0(capsys, write):
     path = write("grid5.edges", format_edge_list(grid_graph(5, 5)))
     code, _, _ = run(capsys, ["check", path, "--budget", "1000"])
     assert code == 0
+
+
+def test_check_budget_bounds_kuratowski_extraction(capsys, write):
+    # 1,743 edges: the decision alone fits in 5,000 steps, so the budget
+    # runs out in the extraction's tests, which draw on what is left
+    g = k33_in_grid(30)
+    assert lr_planar_rotation(g, 5000) is None
+    path = write("k33grid.edges", format_edge_list(g))
+    code, _, err = run(capsys, ["check", path, "--budget", "5000"])
+    assert code == 3
+    assert "budget" in err
+
+
+def test_k33_in_grid_verdict_passes_certify(capsys, write):
+    gpath = write("k33grid.edges", format_edge_list(k33_in_grid(30)))
+    code, out, _ = run(capsys, ["check", gpath, "--validate"])
+    assert code == 1
+    assert json.loads(out)["certificate"]["pattern"] == "K33"
+    vpath = write("k33grid.json", out)
+    code, _, _ = run(capsys, ["certify", gpath, vpath])
+    assert code == 0
+
+
+def test_repeated_main_calls_share_one_parser(capsys, write):
+    assert build_parser() is build_parser()
+    k4path = write("k4.edges", format_edge_list(complete_graph(4)))
+    for argv, expected in (
+        (["check", k4path, "--budget", "zero"], 2),
+        (["certify", k4path], 2),
+        (["check", k4path], 0),
+        (["harness", "kuratowski", "--max-n", "x"], 2),
+        (["lemmas", k4path], 0),
+        (["check", k4path, "--via", "bogus"], 2),
+        (["check", k4path, "--via", "minor"], 0),
+        ([], 2),
+    ):
+        code, _, _ = run(capsys, argv)
+        assert code == expected, argv
 
 
 def test_check_validate_long_path_exits_0(capsys, write):

@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from planarcert.embedding import (
     RotationSystem,
+    StepBudget,
     enumerate_rotation_systems,
     face_boundary,
     face_covering_all_edges,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
+    lr_kuratowski,
     lr_planar_rotation,
     rotations_equivalent,
     trace_faces,
 )
-from planarcert.errors import SearchBudgetExceeded
+from planarcert.errors import InternalInconsistencyError, SearchBudgetExceeded
 from planarcert.graphs import (
     Graph,
     are_isomorphic,
@@ -32,9 +34,9 @@ from planarcert.graphs import (
     subdivide_edge,
     theta_graph,
 )
-from planarcert.subdivision import contains_theta
+from planarcert.subdivision import Pattern, contains_theta, validate_subdivision
 
-from conftest import graphs, grid_graph
+from conftest import graphs, grid_graph, k33_in_grid
 
 
 def brute_trace(g, rho):
@@ -104,6 +106,14 @@ def test_trace_faces_k4_planar_rotation():
 def test_trace_faces_rejects_mismatched_rotation():
     with pytest.raises(ValueError):
         trace_faces(cycle_graph(3), RotationSystem([(1, 2), (0,), (0, 1)]))
+
+
+def test_trace_faces_refuses_a_broken_euler_count(monkeypatch):
+    k4 = complete_graph(4)
+    rho = find_planar_rotation(k4)
+    monkeypatch.setattr(Graph, "component_count", lambda self: 0)
+    with pytest.raises(InternalInconsistencyError):
+        trace_faces(k4, rho)
 
 
 def test_trace_faces_counts_isolated_vertices():
@@ -188,6 +198,14 @@ def test_budget_exhaustion_raises():
         find_planar_rotation(complete_bipartite(3, 3), node_budget=3)
     with pytest.raises(SearchBudgetExceeded):
         lr_planar_rotation(cube_graph(), node_budget=2)
+    # one budget covers every test of an extraction
+    with pytest.raises(SearchBudgetExceeded):
+        lr_kuratowski(petersen_graph(), node_budget=20)
+    # a StepBudget is drawn on by every call it is passed to
+    shared = StepBudget(len(cube_graph().edges))
+    assert lr_planar_rotation(cube_graph(), shared) is not None
+    with pytest.raises(SearchBudgetExceeded):
+        lr_planar_rotation(cube_graph(), shared)
 
 
 def test_lr_examples():
@@ -222,10 +240,9 @@ def test_lr_embeds_relabeled_triangulated_grid_pieces(seed):
     assert genus(g, rho) == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["K5", "K33"]))
-def test_lr_rejects_pieces_joined_to_a_subdivided_obstruction(seed, pattern):
-    rng = random.Random(seed)
+def _piece_joined_to_obstruction(rng, pattern):
+    """A random triangulated-grid piece joined by one edge to a K5 or
+    K3,3 with about half its edges subdivided, relabeled."""
     piece = _random_triangulated_piece(rng)
     obstruction = complete_graph(5) if pattern == "K5" else complete_bipartite(3, 3)
     for e in obstruction.sorted_edges():
@@ -234,8 +251,44 @@ def test_lr_rejects_pieces_joined_to_a_subdivided_obstruction(seed, pattern):
     k = piece.n
     edges = list(piece.edges) + [(u + k, v + k) for u, v in obstruction.edges]
     edges.append((rng.randrange(k), k + rng.randrange(obstruction.n)))
-    g = _relabeled(Graph(k + obstruction.n, edges), rng)
+    return _relabeled(Graph(k + obstruction.n, edges), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["K5", "K33"]))
+def test_lr_rejects_pieces_joined_to_a_subdivided_obstruction(seed, pattern):
+    g = _piece_joined_to_obstruction(random.Random(seed), pattern)
     assert lr_planar_rotation(g) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["K5", "K33"]))
+def test_lr_kuratowski_certifies_pieces_joined_to_a_subdivided_obstruction(
+    seed, pattern
+):
+    g = _piece_joined_to_obstruction(random.Random(seed), pattern)
+    cert = lr_kuratowski(g)
+    assert validate_subdivision(g, cert)
+
+
+def test_lr_kuratowski_examples():
+    k5, k33 = complete_graph(5), complete_bipartite(3, 3)
+    assert lr_kuratowski(k5).pattern is Pattern.K5
+    assert lr_kuratowski(k33).pattern is Pattern.K33
+    for g in (k5, k33, petersen_graph(), complete_graph(7), k33_in_grid(6)):
+        assert validate_subdivision(g, lr_kuratowski(g))
+    # a cubic host holds no K5 subdivision
+    assert lr_kuratowski(petersen_graph()).pattern is Pattern.K33
+
+
+def test_lr_kuratowski_refuses_planar_graphs():
+    with pytest.raises(InternalInconsistencyError):
+        lr_kuratowski(complete_graph(4))
+    # reduces to 6 vertices and 9 edges without a test: only the shape
+    # check tells the planar prism from K3,3
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    with pytest.raises(InternalInconsistencyError):
+        lr_kuratowski(prism)
 
 
 def test_face_boundary_examples():

@@ -125,6 +125,52 @@ def test_decide_never_returns_an_uncertified_verdict(monkeypatch):
         decide(k4)
 
 
+def test_default_path_certifies_without_the_obstruction_searches(monkeypatch):
+    import planarcert.planarity as planarity
+
+    def refuse(*args):
+        raise AssertionError("an obstruction search ran on the default path")
+
+    monkeypatch.setattr(planarity, "find_kuratowski", refuse)
+    monkeypatch.setattr(planarity, "find_minor", refuse)
+    assert DecisionConfig().path is DecisionPath.SUBDIVISION
+    pet = petersen_graph()
+    verdict = decide(pet)
+    assert not verdict.planar and validate_subdivision(pet, verdict.certificate)
+
+
+def test_subdivided_petersen_is_certified_within_twice_its_edge_count():
+    # each edge a path of 21 edges: 310 vertices and 315 edges.  The
+    # decision spends 315 steps; the extraction reduces the graph to the
+    # 15-edge Petersen graph before its first test, so one budget of twice
+    # the edge count covers both (the subdivision search takes seconds here)
+    pet = petersen_graph()
+    edges, nxt = [], pet.n
+    for u, v in pet.sorted_edges():
+        chain = [u, *range(nxt, nxt + 20), v]
+        nxt += 20
+        edges += zip(chain, chain[1:])
+    g = Graph(nxt, edges)
+    verdict = decide(g, DecisionConfig(node_budget=2 * len(g.edges)))
+    assert not verdict.planar and validate_subdivision(g, verdict.certificate)
+
+
+def test_route_bits_flags_an_uncertified_left_right_answer(monkeypatch):
+    import planarcert.planarity as planarity
+
+    # a planar graph the test wrongly rejects has nothing to extract
+    monkeypatch.setattr(planarity, "lr_planar_rotation", lambda g, budget: None)
+    bits = route_bits(complete_graph(4))
+    assert bits.left_right is None and not bits.agree
+
+    def fail(g, budget):
+        raise InternalInconsistencyError("extraction failed")
+
+    monkeypatch.setattr(planarity, "lr_kuratowski", fail)
+    bits = route_bits(complete_graph(5))
+    assert bits.left_right is None and not bits.agree
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DecisionConfig(node_budget=0)

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planarcert.subdivision as subdivision
+from planarcert.errors import InternalInconsistencyError
 from planarcert.graphs import (
     Graph,
     complete_bipartite,
@@ -288,6 +290,50 @@ def test_lift_rejects_bad_inputs():
     bogus = SubdivisionCertificate(Pattern.K5, (0, 1, 2, 3, 5), cert.paths)
     with pytest.raises(ValueError):
         lift_certificate(g, 5, 6, bogus)
+
+
+def test_lift_refuses_a_contraction_that_drops_a_vertex(monkeypatch):
+    g = Graph(7, list(complete_graph(5).edges) + [(5, 6)])
+    cert = find_kuratowski(contract_edge(g, (5, 6))[0])
+
+    def dropping(h, e):
+        contracted, z, vmap = contract_edge(h, e)
+        return contracted, z, (None,) + vmap[1:]
+
+    monkeypatch.setattr(subdivision, "contract_edge", dropping)
+    with pytest.raises(InternalInconsistencyError):
+        lift_certificate(g, 5, 6, cert)
+
+
+def test_lift_refuses_an_adjacency_with_no_preimage(monkeypatch):
+    # 5-6 lies apart from the K5; a contraction that also joined the merged
+    # vertex to 0 and 1 would carry a path 0-z-1 that G cannot follow
+    g = Graph(7, list(complete_graph(5).edges) + [(5, 6)])
+
+    def joining(h, e):
+        contracted, z, vmap = contract_edge(h, e)
+        edges = list(contracted.edges) + [(0, z), (1, z)]
+        return Graph(contracted.n, edges), z, vmap
+
+    paths = [(0, 5, 1) if pq == (0, 1) else pq for pq in Pattern.K5.edge_list]
+    cert = SubdivisionCertificate(Pattern.K5, (0, 1, 2, 3, 4), tuple(paths))
+    monkeypatch.setattr(subdivision, "contract_edge", joining)
+    with pytest.raises(InternalInconsistencyError):
+        lift_certificate(g, 5, 6, cert)
+
+
+def test_lift_refuses_a_2_2_split_outside_k5(monkeypatch):
+    # a four-strand theta whose branch vertex splits 2-2 over x=0, y=1
+    monkeypatch.setitem(subdivision._EDGE_LIST, Pattern.THETA, ((0, 1),) * 4)
+    g = Graph(7, [(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)] + [(w, 2) for w in (3, 4, 5, 6)])
+    contracted, z, vmap = contract_edge(g, (0, 1))
+    w = vmap[2]
+    cert = SubdivisionCertificate(
+        Pattern.THETA, (z, w), tuple((z, vmap[s], w) for s in (3, 4, 5, 6))
+    )
+    assert validate_subdivision(contracted, cert)
+    with pytest.raises(InternalInconsistencyError):
+        lift_certificate(g, 0, 1, cert)
 
 
 @settings(max_examples=60, deadline=None)
