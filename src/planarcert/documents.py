@@ -16,9 +16,12 @@ pattern's edge order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Any
 
-from .embedding import RotationSystem, trace_faces
+from .embedding import FaceSet, RotationSystem, trace_faces
+from .errors import InternalInconsistencyError
 from .graphs import Graph
 from .planarity import Verdict
 from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
@@ -36,17 +39,15 @@ class DocumentError(ValueError):
 
 def parse_edge_list(text: str) -> Graph:
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise DocumentError(
-                    f"line {lineno}: expected header 'n <count>', got {line!r}"
+                    f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}"
                 )
             try:
                 n = int(tokens[1])
@@ -59,7 +60,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise DocumentError(
-                f"line {lineno}: expected 'u v', got {line!r}"
+                f"line {lineno}: expected 'u v', got {raw.strip()!r}"
             )
         try:
             u, v = int(tokens[0]), int(tokens[1])
@@ -74,13 +75,13 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: edge ({u}, {v}) out of range for n={n}"
             )
         e = (u, v) if u < v else (v, u)
-        if e in seen:
+        if e in edges:
             raise DocumentError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
+        edges.add(e)
     if n is None:
         raise DocumentError("missing header line 'n <count>'")
-    return Graph(n, edges)
+    # every edge is normalized, in range and new: Graph need not check again
+    return Graph.from_edge_set(n, frozenset(edges))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -94,15 +95,24 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _face_vertices(faces: FaceSet) -> list[list[int]]:
+    """Each face walk as the list of its darts' tails."""
+    tail = operator.itemgetter(0)
+    return [list(map(tail, walk)) for walk in faces.faces]
+
+
 def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
     if verdict.planar:
         rho = verdict.rotation
         faces = verdict.faces
-        assert rho is not None and faces is not None
+        if rho is None or faces is None:
+            raise InternalInconsistencyError(
+                "planar verdict without a rotation and its faces"
+            )
         return {
             "status": "planar",
             "rotation": [list(cyc) for cyc in rho.order],
-            "faces": [[u for u, _ in walk] for walk in faces.faces],
+            "faces": _face_vertices(faces),
             "euler": {
                 "V": faces.vertex_count,
                 "E": faces.edge_count,
@@ -111,7 +121,8 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
             },
         }
     cert = verdict.certificate
-    assert cert is not None
+    if cert is None:
+        raise InternalInconsistencyError("non-planar verdict without a certificate")
     return {
         "status": "nonplanar",
         "certificate": {
@@ -129,11 +140,11 @@ def _require(cond: bool, message: str) -> None:
 
 def rotation_from_doc(doc: Any) -> RotationSystem:
     _require(isinstance(doc, list), "rotation must be a list of neighbor cycles")
-    for cyc in doc:
-        _require(
-            isinstance(cyc, list) and all(type(w) is int for w in cyc),
-            "each rotation entry must be a list of vertex ids",
-        )
+    _require(
+        all(isinstance(cyc, list) for cyc in doc)
+        and set(map(type, itertools.chain.from_iterable(doc))) <= {int},
+        "each rotation entry must be a list of vertex ids",
+    )
     try:
         return RotationSystem(tuple(tuple(cyc) for cyc in doc))
     except ValueError as exc:
@@ -176,14 +187,14 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
     status = doc.get("status")
     if status == "planar":
         rho = rotation_from_doc(doc.get("rotation"))
-        if not rho.is_valid_for(g):
+        try:
+            faces = trace_faces(g, rho)  # checks rho against g first
+        except ValueError:
             return False
-        faces = trace_faces(g, rho)
         if faces.genus != 0:
             return False
         if "faces" in doc:
-            recomputed = [[u for u, _ in walk] for walk in faces.faces]
-            if doc["faces"] != recomputed:
+            if doc["faces"] != _face_vertices(faces):
                 return False
         if "euler" in doc:
             euler = doc["euler"]

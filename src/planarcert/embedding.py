@@ -54,7 +54,8 @@ class RotationSystem:
                 raise ValueError("repeated neighbor in a rotation")
             if cyc:
                 k = cyc.index(min(cyc))
-                cyc = cyc[k:] + cyc[:k]
+                if k:
+                    cyc = cyc[k:] + cyc[:k]
             canon.append(cyc)
         self.order = tuple(canon)
 
@@ -65,13 +66,6 @@ class RotationSystem:
     def reversed(self) -> "RotationSystem":
         """The mirror embedding: every cyclic order reversed."""
         return RotationSystem(tuple(reversed(cyc)) for cyc in self.order)
-
-    def is_valid_for(self, g: Graph) -> bool:
-        if self.n != g.n:
-            return False
-        return all(
-            tuple(sorted(cyc)) == g.adj[v] for v, cyc in enumerate(self.order)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RotationSystem):
@@ -103,31 +97,66 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
     Faces are reported in ascending order of their smallest dart, each
     walk starting at that dart; edge-free components contribute one empty
     walk apiece.
+
+    Darts are numbered 0..2m-1 in ascending order: dart (u, g.adj[u][k])
+    is number first[u] + k.  One pass over the rotation, which also checks
+    it against g, records for each dart the number of the dart that
+    follows it around its tail.  Walking u ascending over the sorted
+    g.adj[u] then meets the darts in number order and, at each head w,
+    the tails u in ascending order, so a running count at w numbers the
+    reverse dart (w, u).
     """
-    if not rho.is_valid_for(g):
+    adj, order, n = g.adj, rho.order, g.n
+    if len(order) != n:
         raise ValueError("rotation system does not match the graph")
-    succ: dict[Dart, Dart] = {}
-    for v, cyc in enumerate(rho.order):
-        d = len(cyc)
-        for i, u in enumerate(cyc):
-            succ[(u, v)] = (v, cyc[(i + 1) % d])
+    first = list(itertools.accumulate(map(len, adj), initial=0))
+    total = first[-1]
+    after = list(range(1, total + 1))
+    for v, cyc in enumerate(order):
+        nbrs = adj[v]
+        if cyc != nbrs:
+            # RotationSystem rejects repeated neighbors, so a cycle of
+            # g.adj[v]'s length drawn from g.adj[v] is a permutation of it
+            if len(cyc) != len(nbrs):
+                raise ValueError("rotation system does not match the graph")
+            lo = first[v]
+            number = dict(zip(nbrs, range(lo, lo + len(nbrs))))
+            try:
+                prev = number[cyc[-1]]
+                for w in cyc:
+                    d = number[w]
+                    after[prev] = d
+                    prev = d
+            except KeyError:
+                raise ValueError(
+                    "rotation system does not match the graph"
+                ) from None
+        elif nbrs:
+            after[first[v + 1] - 1] = first[v]
+    darts = [(u, w) for u in range(n) for w in adj[u]]
+    # the face successor of (u, w) is the dart after (w, u) around w
+    count = first[:-1]
+    succ = []
+    for _, w in darts:
+        r = count[w]
+        count[w] = r + 1
+        succ.append(after[r])
+    seen = bytearray(total)
     walks: list[tuple[Dart, ...]] = []
-    seen: set[Dart] = set()
-    for start in sorted(succ):
-        if start in seen:
+    for start in range(total):
+        if seen[start]:
             continue
         walk = []
-        dart = start
+        d = start
         while True:
-            walk.append(dart)
-            seen.add(dart)
-            dart = succ[dart]
-            if dart == start:
+            walk.append(darts[d])
+            seen[d] = 1
+            d = succ[d]
+            if d == start:
                 break
         walks.append(tuple(walk))
-    for v in range(g.n):
-        if not g.adj[v]:
-            walks.append(())  # an isolated vertex still bounds one face
+    # an isolated vertex still bounds one face
+    walks.extend(() for nbrs in adj if not nbrs)
     c = g.component_count()
     v_count, e_count, f_count = g.n, len(g.edges), len(walks)
     doubled = 2 * c - v_count + e_count - f_count
@@ -393,7 +422,11 @@ def _embed_component(
 
     def assign(idx: int, darts_open: int) -> bool:
         if idx == nv:
-            assert closed[0] == f_needed
+            if closed[0] != f_needed:
+                raise InternalInconsistencyError(
+                    f"complete rotation closed {closed[0]} faces, "
+                    f"expected {f_needed}"
+                )
             if accept is not None:
                 succ: dict[Dart, Dart] = {}
                 for v, cyc in chosen.items():
@@ -733,6 +766,44 @@ def lr_planar_rotation(
 # ---------------------------------------------------------------------------
 
 
+def _biconnected_components(nbr: dict[int, dict[int, int]]) -> list[list[int]]:
+    """The edge ids of each biconnected component of the graph whose vertex
+    v has nbr[v] = {neighbor: edge id}, found by Hopcroft and Tarjan's
+    lowpoint search on explicit stacks in O(V + E)."""
+    depth: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comps: list[list[int]] = []
+    for root in nbr:
+        if root in depth:
+            continue
+        depth[root] = low[root] = 0
+        edges: list[int] = []  # tree and back edges not yet in a component
+        stack = [(root, -1, iter(nbr[root].items()))]
+        while stack:
+            v, into, todo = stack[-1]
+            for w, e in todo:
+                if w not in depth:
+                    depth[w] = low[w] = depth[v] + 1
+                    edges.append(e)
+                    stack.append((w, e, iter(nbr[w].items())))
+                    break
+                if depth[w] < depth[v] and e != into:  # back edge
+                    edges.append(e)
+                    low[v] = min(low[v], depth[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] >= depth[u]:  # u cuts v's subtree off
+                    comp = []
+                    while not comp or comp[-1] != into:
+                        comp.append(edges.pop())
+                    comps.append(comp)
+                low[u] = min(low[u], low[v])
+    return comps
+
+
 def lr_kuratowski(
     g: Graph, node_budget: int | StepBudget | None = None
 ) -> SubdivisionCertificate:
@@ -742,21 +813,26 @@ def lr_kuratowski(
     Works on a reduced copy H of g whose edges each stand for a path of g:
     degree-1 vertices are pruned, each degree-2 vertex is suppressed into
     one chain edge, and a chain whose ends are already adjacent is dropped,
-    since a parallel edge never changes planarity.  Blocks of about a
-    quarter of H's edges, drawn from a shuffled queue, are deleted while
-    the test still rejects what remains, and H is re-reduced around every
-    deletion.  A block H cannot lose is halved, and each half is tested
-    in turn.  A single edge H cannot lose stays, and so does any chain suppression builds through it: every later H is a
-    subgraph of a subdivision of the one that needed it.  Extraction stops
+    since a parallel edge never changes planarity.  A graph is planar iff
+    each of its biconnected components is, so H is then cut down to the
+    first component the test rejects: a small obstruction joined to a
+    large planar part costs one test per component, not a deletion search
+    over the whole graph.  Blocks of about a quarter of H's edges, drawn
+    from a shuffled queue, are deleted while the test still rejects what
+    remains, and H is re-reduced around every deletion.  A block H cannot
+    lose is halved, and each half is tested in turn.  A single edge H
+    cannot lose stays, and so does any chain suppression builds through
+    it: every later H is a subgraph of a subdivision of the one that
+    needed it.  Extraction stops
     when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9 edges:
     minimum degree 3 makes H cubic, and the other cubic graph on 6
     vertices, the prism, is planar).  The certificate expands the chains
     back into paths of g and must pass validate_subdivision.
 
-    Each test runs on H relabeled to compact ids, so it costs O(|H|), not
-    O(n).  `node_budget` bounds the oriented edges over all tests together,
-    and may be a StepBudget shared with other calls; exceeding it raises
-    SearchBudgetExceeded.  A graph the test accepts, an
+    Each test runs on H (or one component) relabeled to compact ids, so it
+    costs O(|H|), not O(n).  `node_budget` bounds the oriented edges over
+    all tests together, and may be a StepBudget shared with other calls;
+    exceeding it raises SearchBudgetExceeded.  A graph the test accepts, an
     H of any other final shape, or a certificate that fails validation
     raises InternalInconsistencyError.
     """
@@ -811,23 +887,41 @@ def lr_kuratowski(
             else:
                 queue.append(e)
 
+    def rejects(edges: Iterable[int]) -> bool:
+        """Whether the test rejects the graph of these H edges, relabeled
+        to compact ids."""
+        ids: dict[int, int] = {}
+        pairs = [
+            (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+            for a, b in map(ends.__getitem__, edges)
+        ]
+        return lr_planar_rotation(Graph(len(ids), pairs), budget) is None
+
     def rejected_without(block: list[int]) -> bool:
         drop = set(block)
-        ids = {v: i for i, v in enumerate(nbr)}
-        h = Graph(
-            len(ids),
-            [(ids[ends[e][0]], ids[ends[e][1]]) for e in alive if e not in drop],
-        )
-        return lr_planar_rotation(h, budget) is None
+        return rejects(e for e in alive if e not in drop)
 
     def settled() -> bool:
         return (len(nbr), len(alive)) in ((5, 10), (6, 9))
 
     reduce(list(range(g.n)))
-    if not settled() and not rejected_without([]):
-        raise InternalInconsistencyError(
-            "left-right test accepts the graph: no obstruction to extract"
-        )
+    if not settled():
+        # a graph is planar iff each of its biconnected components is, and
+        # one with fewer than the 9 edges of K3,3 is: keep the first
+        # component the test rejects
+        for comp in _biconnected_components(nbr):
+            if len(comp) >= 9 and rejects(comp):
+                break
+        else:
+            raise InternalInconsistencyError(
+                "left-right test accepts the graph: no obstruction to extract"
+            )
+        if len(comp) < len(alive):
+            inside = set(comp)
+            touched: list[int] = []
+            for e in [e for e in alive if e not in inside]:
+                touched += remove(e)
+            reduce(touched)
     halves: list[list[int]] = []  # of blocks H could not lose, next on top
     while not settled():
         if halves:

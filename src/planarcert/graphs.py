@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .errors import CapacityError
+from .errors import CapacityError, InternalInconsistencyError
 
 Edge = tuple[int, int]
 
@@ -28,13 +28,16 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph: no loops, no parallel edges."""
+    """Simple undirected graph: no loops, no parallel edges.
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_hash")
+    `adj_mask` (per-vertex neighbor bitmasks, n bits each) and the hash are
+    built on first use: only the small-graph searches read the masks, and
+    building them for a large graph costs O(n * m / 64).
+    """
+
+    __slots__ = ("n", "edges", "adj", "_adj_mask", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         edge_set: set[Edge] = set()
         for u, v in edges:
             if u == v:
@@ -42,18 +45,39 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             edge_set.add((u, v) if u < v else (v, u))
+        self._build(n, frozenset(edge_set))
+
+    @classmethod
+    def from_edge_set(cls, n: int, edges: frozenset[Edge]) -> Graph:
+        """The graph on 0..n-1 with `edges`, which must already be
+        normalized (u < v) and in range; they are not checked again."""
+        g = cls.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: frozenset[Edge]) -> None:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj: list[list[int]] = [[] for _ in range(n)]
-        mask = [0] * n
-        for u, v in edge_set:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
+        for nbrs in adj:
+            nbrs.sort()
         self.n = n
-        self.edges = frozenset(edge_set)
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.adj_mask = tuple(mask)
-        self._hash = hash((n, self.edges))
+        self.edges = edges
+        self.adj = tuple(map(tuple, adj))
+        self._adj_mask: tuple[int, ...] | None = None
+        self._hash: int | None = None
+
+    @property
+    def adj_mask(self) -> tuple[int, ...]:
+        mask = self._adj_mask
+        if mask is None:
+            mask = self._adj_mask = tuple(
+                sum(1 << w for w in nbrs) for nbrs in self.adj
+            )
+        return mask
 
     @property
     def num_edges(self) -> int:
@@ -66,7 +90,7 @@ class Graph:
         return tuple(len(nbrs) for nbrs in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.adj_mask[u] >> v & 1)
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
@@ -111,7 +135,10 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.n, self.edges))
+        return h
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges)})"
@@ -122,7 +149,9 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     if mask < 0 or mask >= 1 << len(pairs):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    return Graph.from_edge_set(
+        n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +243,32 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
     e = normalize_edge(*e)
     if e not in g.edges:
         raise ValueError(f"{e} is not an edge")
-    return Graph(g.n, g.edges - {e})
+    return Graph.from_edge_set(g.n, g.edges - {e})
 
 
 def delete_vertex(g: Graph, x: int) -> tuple[Graph, VertexMap]:
     """Remove a vertex and its incident edges; remaining ids are compacted."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    vmap = _compaction_map(g.n, {x})
-    edges = [(vmap[u], vmap[v]) for u, v in g.edges if x not in (u, v)]
-    return Graph(g.n - 1, edges), vmap
+    return delete_vertices(g, (x,))
 
 
 def delete_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, VertexMap]:
-    """Delete several vertices one at a time, composing the renamings."""
-    cur = g
-    vmap = identity_map(g.n)
+    """Remove several vertices and their incident edges in one pass; the
+    result and the map equal those of deleting them one at a time."""
+    removed: set[int] = set()
     for x in xs:
-        new_id = vmap[x]
-        if new_id is None:
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range")
+        if x in removed:
             raise ValueError(f"vertex {x} already removed")
-        cur, step = delete_vertex(cur, new_id)
-        vmap = compose_vertex_maps(vmap, step)
-    return cur, vmap
+        removed.add(x)
+    vmap = _compaction_map(g.n, removed)
+    # compaction keeps the order of survivors, so u < v still holds
+    edges = frozenset(
+        (vmap[u], vmap[v])
+        for u, v in g.edges
+        if u not in removed and v not in removed
+    )
+    return Graph.from_edge_set(g.n - len(removed), edges), vmap
 
 
 def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
@@ -252,7 +284,8 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
     keep, drop = e
     vmap_list: list[int | None] = list(_compaction_map(g.n, {drop}))
     z = vmap_list[keep]
-    assert z is not None
+    if z is None:
+        raise InternalInconsistencyError("contraction removed the kept endpoint")
     vmap_list[drop] = z
     vmap = tuple(vmap_list)
     edges = set()
@@ -260,7 +293,7 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
         nu, nv = vmap[u], vmap[v]
         if nu != nv:
             edges.add(normalize_edge(nu, nv))
-    return Graph(g.n - 1, edges), z, vmap
+    return Graph.from_edge_set(g.n - 1, frozenset(edges)), z, vmap
 
 
 def subdivide_edge(g: Graph, e: Edge) -> Graph:
@@ -271,7 +304,7 @@ def subdivide_edge(g: Graph, e: Edge) -> Graph:
     u, v = e
     w = g.n
     edges = (g.edges - {e}) | {(u, w), (v, w)}
-    return Graph(g.n + 1, edges)
+    return Graph.from_edge_set(g.n + 1, edges)
 
 
 def smooth(g: Graph) -> tuple[Graph, VertexMap]:
@@ -299,9 +332,12 @@ def smooth(g: Graph) -> tuple[Graph, VertexMap]:
         step = _compaction_map(cur.n, {v})
         edges = [(step[u], step[w]) for u, w in cur.edges if v not in (u, w)]
         sa, sb = step[a], step[b]
-        assert sa is not None and sb is not None
+        if sa is None or sb is None:
+            raise InternalInconsistencyError(
+                "smoothing removed a neighbor of the suppressed vertex"
+            )
         edges.append(normalize_edge(sa, sb))
-        cur = Graph(cur.n - 1, edges)
+        cur = Graph.from_edge_set(cur.n - 1, frozenset(edges))
         vmap = compose_vertex_maps(vmap, step)
 
 
@@ -390,5 +426,6 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     pairs = list(itertools.combinations(range(n), 2))
     m = len(pairs)
     for mask in range(1 << m):
-        edges = [pairs[i] for i in range(m) if mask >> i & 1]
-        yield Graph(n, edges)
+        yield Graph.from_edge_set(
+            n, frozenset(pairs[i] for i in range(m) if mask >> i & 1)
+        )

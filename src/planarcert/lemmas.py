@@ -9,7 +9,7 @@ graphs where they matter (at least one edge, minimum degree >= 3):
   condition3: K is isomorphic to K5 or to K3,3.
 
 The implications (3) => (2) => (1) hold for every graph with an edge and
-are asserted whenever a report is built; the converse direction is what
+are checked whenever a report is built; the converse direction is what
 the exhaustive campaigns in `harness` machine-check.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInconsistencyError
 from .graphs import Edge, Graph, are_isomorphic, complete_bipartite, complete_graph, delete_vertices, normalize_edge
 from .subdivision import contains_theta
 
@@ -106,6 +107,8 @@ def lemma_report(g: Graph) -> LemmaReport:
             c2 = False
     c3 = condition3(g)
     # the easy implication chain must never break at runtime
-    assert not c3 or c2, "condition3 held without condition2"
-    assert not c2 or c1, "condition2 held without condition1"
+    if c3 and not c2:
+        raise InternalInconsistencyError("condition3 held without condition2")
+    if c2 and not c1:
+        raise InternalInconsistencyError("condition2 held without condition1")
     return LemmaReport(c1, c2, c3, tuple(witnesses))

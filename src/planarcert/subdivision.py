@@ -127,7 +127,7 @@ def validate_subdivision(g: Graph, cert: SubdivisionCertificate) -> bool:
         if ends != {branch[pu], branch[pv]}:
             return False
         for a, b in zip(path, path[1:]):
-            if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
+            if not g.has_edge(a, b):
                 return False
             e = normalize_edge(a, b)
             if e in edges_seen:
@@ -334,7 +334,10 @@ def _route_paths(
         out = []
         for k, (pu, pv) in enumerate(edge_list):
             path = routed[k]
-            assert path is not None
+            if path is None:
+                raise InternalInconsistencyError(
+                    f"pattern edge {k} left unrouted by a complete routing"
+                )
             if path[0] != branch[pu]:
                 path = path[::-1]
             out.append(path)
@@ -531,7 +534,10 @@ def find_minor(g: Graph, pattern: Pattern) -> MinorCertificate | None:
                         break
             if best is not None:
                 break
-        assert best is not None
+        if best is None:
+            raise InternalInconsistencyError(
+                f"no host edge joins the branch sets of pattern edge ({pi}, {pj})"
+            )
         bucket.add(best)
         cross.append(best)
     return MinorCertificate(pattern, sets, tuple(cross))
@@ -847,7 +853,10 @@ def _theta_minor_to_subdivision(
                 changed = True
 
     hubs = sorted(v for v in deg if deg[v] == 3)
-    assert len(hubs) == 2, "theta core must have exactly two degree-3 vertices"
+    if len(hubs) != 2:
+        raise InternalInconsistencyError(
+            f"theta core has {len(hubs)} degree-3 vertices, not 2"
+        )
     u, v = hubs
     paths = []
     for start in sorted(w for e in inc[u] for w in e if w != u):

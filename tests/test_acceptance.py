@@ -5,11 +5,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
 per criterion (a failed assertion marks the criterion FAIL).  The two
 exhaustive sweeps (all labeled graphs on six vertices; all isomorphism
 classes on seven) are the long poles; everything else finishes in
-seconds.
+seconds.  The criteria that take tens of seconds or more are marked
+``slow``, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import itertools
 import json
+
+import pytest
 
 from planarcert.cli import main
 from planarcert.documents import format_edge_list, parse_edge_list
@@ -46,6 +49,7 @@ def _report(num: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {num} ({name}): PASS - {detail}")
 
 
+@pytest.mark.slow
 def test_criterion_01_kuratowski_exhaustive_n6():
     report = verify_kuratowski(6)
     assert report.passed, report.render_text()
@@ -59,6 +63,7 @@ def test_criterion_01_kuratowski_exhaustive_n6():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_kuratowski_classes_n7():
     report = verify_kuratowski_classes(7)
     assert report.passed, report.render_text()
@@ -91,6 +96,7 @@ def test_criterion_03_obstruction_identities():
     _report(3, "obstruction identities", "K5, K3,3, Petersen, Q3 all as expected")
 
 
+@pytest.mark.slow
 def test_criterion_04_lemma_characterization():
     report = verify_lemma_characterization(6)
     assert report.passed, report.render_text()
@@ -161,6 +167,7 @@ def test_criterion_06_lifting_soundness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_chartrand_harary_exhaustive():
     report = verify_chartrand_harary(6)
     assert report.passed, report.render_text()

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
+from planarcert import cli
 from planarcert.cli import build_parser, main
 from planarcert.documents import (
     DocumentError,
@@ -19,7 +24,7 @@ from planarcert.graphs import (
     path_graph,
     petersen_graph,
 )
-from planarcert.planarity import decide
+from planarcert.planarity import Verdict, decide
 
 from conftest import graphs, grid_graph, k33_in_grid
 
@@ -97,6 +102,64 @@ def test_verdict_doc_rejects_tampering():
         not verdict_doc_is_valid(k4, planar_doc)
         or json.dumps(planar_doc) != json.dumps(verdict_to_doc(k4, decide(k4)))
     )
+
+
+def test_large_tampered_planar_verdicts_are_rejected():
+    g = grid_graph(30, 30)
+    doc = verdict_to_doc(g, decide(g))
+    assert verdict_doc_is_valid(g, doc)
+    rng = random.Random(7)
+    # two neighbors swapped at a vertex of degree 4: the faces no longer
+    # close into a sphere
+    swapped = copy.deepcopy(doc)
+    v = rng.choice([v for v, cyc in enumerate(swapped["rotation"]) if len(cyc) == 4])
+    cyc = swapped["rotation"][v]
+    cyc[0], cyc[1] = cyc[1], cyc[0]
+    # one face walk started one dart later
+    rotated = copy.deepcopy(doc)
+    k = rng.randrange(len(rotated["faces"]))
+    rotated["faces"][k] = rotated["faces"][k][1:] + rotated["faces"][k][:1]
+    # one face too many in the Euler data
+    counted = copy.deepcopy(doc)
+    counted["euler"]["F"] += 1
+    for tampered in (swapped, rotated, counted):
+        assert not verdict_doc_is_valid(g, tampered)
+
+
+def test_auditing_a_subdivided_k5_never_builds_neighbor_masks():
+    # K5 with 200 interior vertices on each of its ten paths: 2,005 vertices
+    edges, paths, nxt = [], [], 5
+    for a, b in itertools.combinations(range(5), 2):
+        path = [a, *range(nxt, nxt + 200), b]
+        nxt += 200
+        edges += zip(path, path[1:])
+        paths.append(path)
+    g = parse_edge_list(format_edge_list(Graph(nxt, edges)))
+    doc = {
+        "status": "nonplanar",
+        "certificate": {"pattern": "K5", "branch": [0, 1, 2, 3, 4], "paths": paths},
+    }
+    assert g.n == 2005
+    assert verdict_doc_is_valid(g, doc)
+    assert g._adj_mask is None
+    paths[3] = paths[3][:-2] + paths[3][-1:]  # skips a vertex: not a path of g
+    assert not verdict_doc_is_valid(g, doc)
+    assert g._adj_mask is None
+
+
+def test_check_refuses_a_verdict_without_its_witness(capsys, write, monkeypatch):
+    # verdict_to_doc checks its input under python -O too: exit 3, no document
+    path = write("k4.edges", format_edge_list(complete_graph(4)))
+    planar = decide(complete_graph(4))
+    for broken in (
+        dataclasses.replace(planar, rotation=None),
+        dataclasses.replace(planar, faces=None),
+        Verdict(planar=False),
+    ):
+        monkeypatch.setattr(cli, "decide", lambda g, config, v=broken: v)
+        code, out, err = run(capsys, ["check", path])
+        assert (code, out) == (3, "")
+        assert "without" in err
 
 
 def test_verdict_doc_schema_errors():

@@ -1,12 +1,16 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planarcert.embedding import (
+    FaceSet,
     RotationSystem,
     StepBudget,
+    _biconnected_components,
     enumerate_rotation_systems,
     face_boundary,
     face_covering_all_edges,
@@ -71,6 +75,85 @@ def random_rotation(g, seed):
         rng.shuffle(cyc)
         order.append(tuple(cyc))
     return RotationSystem(order)
+
+
+def reference_faces(g, rho):
+    """Faces traced on a dict of tuple darts, every dart sorted: the
+    specification trace_faces must reproduce field by field."""
+    if rho.n != g.n or any(
+        tuple(sorted(cyc)) != g.adj[v] for v, cyc in enumerate(rho.order)
+    ):
+        raise ValueError("rotation system does not match the graph")
+    succ = {}
+    for v, cyc in enumerate(rho.order):
+        for i, u in enumerate(cyc):
+            succ[(u, v)] = (v, cyc[(i + 1) % len(cyc)])
+    walks, seen = [], set()
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        walk, d = [], start
+        while True:
+            walk.append(d)
+            seen.add(d)
+            d = succ[d]
+            if d == start:
+                break
+        walks.append(tuple(walk))
+    walks += [() for v in range(g.n) if not g.adj[v]]
+    c, e, f = g.component_count(), len(g.edges), len(walks)
+    return FaceSet(tuple(walks), g.n, e, f, c, (2 * c - g.n + e - f) // 2)
+
+
+@st.composite
+def rotated_graphs(draw):
+    """A graph on up to 12 vertices, often disconnected or with isolated
+    vertices, under a random rotation, usually of genus > 0."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if n > 1 else []
+    g = Graph(n, edges)
+    return g, random_rotation(g, draw(st.integers(0, 2**32 - 1)))
+
+
+K5_SORTED_ROTATION = RotationSystem(
+    [tuple(w for w in range(5) if w != v) for v in range(5)]
+)  # genus > 0
+TRIANGLE_EDGE_AND_POINTS = (
+    Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5)]),
+    RotationSystem([(1, 2), (0, 2), (0, 1), (), (5,), (4,), ()]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_graphs())
+@example((complete_graph(5), K5_SORTED_ROTATION))
+@example(TRIANGLE_EDGE_AND_POINTS)
+def test_trace_faces_matches_a_dict_based_tracer(graph_and_rotation):
+    g, rho = graph_and_rotation
+    got, want = trace_faces(g, rho), reference_faces(g, rho)
+    for field in dataclasses.fields(FaceSet):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+def test_trace_faces_rejects_every_kind_of_mismatch():
+    k4 = complete_graph(4)
+    good = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (0, 1, 2)]
+    assert trace_faces(k4, RotationSystem(good)).face_count == 4
+    for bad in (
+        good[:3],  # too few vertices
+        good + [()],  # too many
+        good[:1] + [(2, 0)] + good[2:],  # a neighbor missing
+        good[:3] + [(0, 1, 2, 4)],  # one too many
+        good[:3] + [(0, 1, 4)],  # a stranger in place of a neighbor
+        good[:3] + [(0, 1, -1)],  # an id out of range
+        [(1, 3)] + good[1:],  # a cycle one short
+    ):
+        with pytest.raises(ValueError):
+            trace_faces(k4, RotationSystem(bad))
+    # degree <= 2 cycles have one canonical order, which must match exactly
+    with pytest.raises(ValueError):
+        trace_faces(path_graph(3), RotationSystem([(2,), (0, 2), (0,)]))
 
 
 def test_rotation_canonicalization_and_equality():
@@ -279,6 +362,28 @@ def test_lr_kuratowski_examples():
         assert validate_subdivision(g, lr_kuratowski(g))
     # a cubic host holds no K5 subdivision
     assert lr_kuratowski(petersen_graph()).pattern is Pattern.K33
+
+
+def test_biconnected_components_examples():
+    # two triangles sharing vertex 2, a bridge 4-5 and a pendant square
+    g = Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5),
+                  (5, 6), (6, 7), (7, 8), (5, 8)])
+    ids = {e: i for i, e in enumerate(g.sorted_edges())}
+    nbr = {v: {w: ids[normalize_edge(v, w)] for w in g.adj[v]} for v in range(g.n)}
+    comps = {
+        frozenset(g.sorted_edges()[i] for i in comp)
+        for comp in _biconnected_components(nbr)
+    }
+    assert comps == {
+        frozenset({(0, 1), (1, 2), (0, 2)}),
+        frozenset({(2, 3), (3, 4), (2, 4)}),
+        frozenset({(4, 5)}),
+        frozenset({(5, 6), (6, 7), (7, 8), (5, 8)}),
+    }
+    # a long path is n - 1 bridges, found without recursion
+    long_path = path_graph(5000)
+    nbr = {v: {w: min(v, w) for w in long_path.adj[v]} for v in range(5000)}
+    assert sorted(map(tuple, _biconnected_components(nbr))) == [(i,) for i in range(4999)]
 
 
 def test_lr_kuratowski_refuses_planar_graphs():

@@ -20,6 +20,7 @@ from planarcert.graphs import (
     delete_vertices,
     enumerate_labeled_graphs,
     from_edge_mask,
+    normalize_edge,
     path_graph,
     petersen_graph,
     smooth,
@@ -83,6 +84,47 @@ def test_delete_vertex_examples():
     assert single.n == 0 and vmap == (None,)
     with pytest.raises(ValueError):
         delete_vertex(k5, 5)
+
+
+def _delete_one_at_a_time(g, xs):
+    """The composition of single deletions delete_vertices must equal."""
+    vmap = tuple(range(g.n))
+    for x in xs:
+        cur = vmap[x]
+        step = tuple(None if v == cur else v - (v > cur) for v in range(g.n))
+        g = Graph(g.n - 1, [(step[u], step[v]) for u, v in g.edges if cur not in (u, v)])
+        vmap = compose_vertex_maps(vmap, step)
+    return g, vmap
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+def test_delete_vertices_equals_deleting_one_at_a_time(g, rng):
+    xs = rng.sample(range(g.n), rng.randint(0, g.n))
+    h, vmap = delete_vertices(g, xs)
+    want_h, want_vmap = _delete_one_at_a_time(g, xs)
+    assert (h, h.adj, vmap) == (want_h, want_h.adj, want_vmap)
+    if xs:
+        with pytest.raises(ValueError, match="already removed"):
+            delete_vertices(g, [*xs, xs[0]])
+    with pytest.raises(ValueError, match="out of range"):
+        delete_vertices(g, [g.n])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8))
+def test_neighbor_masks_are_built_on_demand(g):
+    eager = [0] * g.n
+    for u, v in g.edges:
+        eager[u] |= 1 << v
+        eager[v] |= 1 << u
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == (normalize_edge(u, v) in g.edges)
+    assert g._adj_mask is None  # has_edge reads the edge set
+    assert g.adj_mask == tuple(eager)
+    assert g.adj_mask is g.adj_mask  # built once
+    assert hash(g) == hash(Graph(g.n, sorted(g.edges)))
 
 
 def test_delete_vertex_map_translates_edges():

@@ -1,5 +1,7 @@
 import pytest
 
+from planarcert import lemmas
+from planarcert.errors import InternalInconsistencyError
 from planarcert.graphs import (
     Graph,
     complete_bipartite,
@@ -98,3 +100,17 @@ def test_condition2_implies_min_degree_three():
         for g in enumerate_labeled_graphs(n):
             if condition2(g):
                 assert all(len(nbrs) >= 3 for nbrs in g.adj)
+
+
+def test_lemma_report_refuses_a_broken_implication_chain(monkeypatch):
+    # checked under python -O too: K4 satisfies none of the conditions
+    k4 = complete_graph(4)
+    with monkeypatch.context() as m:
+        m.setattr(lemmas, "condition3", lambda g: True)
+        with pytest.raises(InternalInconsistencyError, match="condition3"):
+            lemma_report(k4)
+    with monkeypatch.context() as m:
+        m.setattr(lemmas, "_is_cycle", lambda g: True)
+        with pytest.raises(InternalInconsistencyError, match="condition2"):
+            lemma_report(k4)
+    assert not lemma_report(k4).condition1

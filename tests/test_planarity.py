@@ -23,7 +23,7 @@ from planarcert.planarity import (
 )
 from planarcert.subdivision import Pattern, find_subdivision, validate_subdivision
 
-from conftest import graphs
+from conftest import graphs, grid_graph
 
 
 def test_decide_k5():
@@ -153,6 +153,23 @@ def test_subdivided_petersen_is_certified_within_twice_its_edge_count():
     g = Graph(nxt, edges)
     verdict = decide(g, DecisionConfig(node_budget=2 * len(g.edges)))
     assert not verdict.planar and validate_subdivision(g, verdict.certificate)
+
+
+def test_k5_hanging_off_a_triangulated_grid_is_certified_within_three_times_its_edges():
+    # a 20 x 20 triangulated grid joined by one edge to a K5: 1,132 edges.
+    # The decision spends one step per edge, and the extraction keeps only
+    # the biconnected component the test rejects (the K5) after testing
+    # each component once, so three steps per edge cover both; deleting
+    # edges from the whole graph took 59,137 steps
+    grid = grid_graph(20, 20, diagonals=True)
+    k = grid.n
+    k5 = [(k + i, k + j) for i in range(5) for j in range(i + 1, 5)]
+    g = Graph(k + 5, [*grid.edges, *k5, (0, k)])
+    assert len(g.edges) == 1132
+    verdict = decide(g, DecisionConfig(node_budget=3 * len(g.edges)))
+    assert not verdict.planar
+    assert verdict.certificate.pattern is Pattern.K5
+    assert validate_subdivision(g, verdict.certificate)
 
 
 def test_route_bits_flags_an_uncertified_left_right_answer(monkeypatch):
