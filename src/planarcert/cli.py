@@ -20,14 +20,7 @@ from .documents import (
 )
 from .errors import CapacityError, InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph
-from .harness import (
-    verify_chartrand_harary,
-    verify_kuratowski,
-    verify_kuratowski_classes,
-    verify_lemma_characterization,
-    verify_lifting,
-    verify_menger_cubic,
-)
+from .harness import CAMPAIGNS
 from .lemmas import lemma_report
 from .planarity import DecisionConfig, DecisionPath, decide
 
@@ -97,18 +90,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_harness(args: argparse.Namespace) -> int:
-    if args.campaign == "kuratowski":
-        report = verify_kuratowski(args.max_n)
-    elif args.campaign == "kuratowski-classes":
-        report = verify_kuratowski_classes(args.max_n)
-    elif args.campaign == "lemma":
-        report = verify_lemma_characterization(args.max_n)
-    elif args.campaign == "chartrand-harary":
-        report = verify_chartrand_harary(args.max_n)
-    elif args.campaign == "menger-cubic":
-        report = verify_menger_cubic(args.samples, args.seed)
-    else:
-        report = verify_lifting(args.samples, args.seed)
+    report = CAMPAIGNS[args.campaign](args.max_n, args.samples, args.seed)
     if args.text:
         print(report.render_text())
     else:
@@ -165,17 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemmas.set_defaults(func=_cmd_lemmas)
 
     harness = sub.add_parser("harness", help="run a verification campaign")
-    harness.add_argument(
-        "campaign",
-        choices=[
-            "kuratowski",
-            "kuratowski-classes",
-            "lemma",
-            "chartrand-harary",
-            "menger-cubic",
-            "lifting",
-        ],
-    )
+    harness.add_argument("campaign", choices=list(CAMPAIGNS))
     harness.add_argument("--max-n", type=int, default=5)
     harness.add_argument("--samples", type=int, default=100)
     harness.add_argument("--seed", type=int, default=42)

@@ -1,8 +1,8 @@
 """File formats: edge-list graph documents and JSON verdict documents.
 
-Edge-list format: a header line ``n <count>``, then one ``u v`` line per
-edge with 0-based ids; lines starting with ``#`` and blank lines are
-ignored.  Printing normalizes edges to u < v and sorts them, so the
+Edge-list format: a header line ``n <count>`` (at most MAX_VERTICES),
+then one ``u v`` line per edge with 0-based ids; lines starting with
+``#`` and blank lines are ignored.  Printing normalizes edges to u < v and sorts them, so the
 format round-trips exactly.
 
 Verdict documents are plain JSON objects.  Planar:
@@ -17,10 +17,9 @@ pattern's edge order.
 from __future__ import annotations
 
 import itertools
-import operator
-from typing import Any
+from typing import Any, Iterator, NoReturn
 
-from .embedding import FaceSet, RotationSystem, trace_faces
+from .embedding import RotationSystem, trace_faces
 from .errors import InternalInconsistencyError
 from .graphs import Graph
 from .planarity import Verdict
@@ -37,26 +36,92 @@ class DocumentError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# the largest vertex count a header may declare; parsing allocates one
+# adjacency list per vertex before it reads any edge
+MAX_VERTICES = 10**7
+
+
 def parse_edge_list(text: str) -> Graph:
-    n: int | None = None
-    edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """The graph an edge-list document describes.
+
+    One pass appends both ends of every edge line to per-vertex lists.  A
+    line that is not two integers, a negative or too large id, or a
+    repeated neighbor (a loop or a repeated edge) sends the lines through a
+    second, line-by-line check that reports the first faulty line."""
+    lines = text.splitlines()
+    n, body = _parse_header(lines)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    rows = map(str.split, itertools.islice(lines, body, None))
+    ok = _append_edges(rows, adj)
+    darts = sum(map(len, adj))
+    if not ok or sum(map(len, map(set, adj))) != darts:
+        _raise_first_fault(lines, body, n)
+    for nbrs in adj:
+        nbrs.sort()
+    return Graph.from_adjacency(tuple(map(tuple, adj)), darts // 2)
+
+
+def _parse_header(lines: list[str]) -> tuple[int, int]:
+    """The declared vertex count and the index of the line after it."""
+    for i, raw in enumerate(lines):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise DocumentError(
-                    f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}"
-                )
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise DocumentError(
-                    f"line {lineno}: vertex count {tokens[1]!r} is not an integer"
-                ) from None
-            if n < 0:
-                raise DocumentError(f"line {lineno}: negative vertex count")
+        lineno = i + 1
+        if len(tokens) != 2 or tokens[0] != "n":
+            raise DocumentError(
+                f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}"
+            )
+        try:
+            n = int(tokens[1])
+        except ValueError:
+            raise DocumentError(
+                f"line {lineno}: vertex count {tokens[1]!r} is not an integer"
+            ) from None
+        if n < 0:
+            raise DocumentError(f"line {lineno}: negative vertex count")
+        if n > MAX_VERTICES:
+            raise DocumentError(
+                f"line {lineno}: vertex count {n} is above the limit of "
+                f"{MAX_VERTICES}"
+            )
+        return n, i + 1
+    raise DocumentError("missing header line 'n <count>'")
+
+
+def _append_edges(rows: Iterator[list[str]], adj: list[list[int]]) -> bool:
+    """Append both ends of every edge row to adj; False at the first row
+    that is not a comment, a blank or two ids in range.  Ids of n or more
+    fail the append with IndexError; a loop at v puts v twice in adj[v],
+    which the caller's search for repeated neighbors finds."""
+    tokens: list[str] = []
+    while True:
+        try:
+            for tokens in rows:
+                if len(tokens) == 2:
+                    u = int(tokens[0])
+                    v = int(tokens[1])
+                    if u >= 0 and v >= 0:
+                        adj[u].append(v)
+                        adj[v].append(u)
+                        continue
+                if tokens and not tokens[0].startswith("#"):
+                    return False
+            return True
+        except ValueError:
+            # a two-token comment such as "#1 2" fails int(); resume after it
+            if not tokens[0].startswith("#"):
+                return False
+        except IndexError:
+            return False
+
+
+def _raise_first_fault(lines: list[str], body: int, n: int) -> NoReturn:
+    """Raise the DocumentError of the first faulty edge line."""
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(itertools.islice(lines, body, None), body + 1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) != 2:
             raise DocumentError(
@@ -75,13 +140,10 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {lineno}: edge ({u}, {v}) out of range for n={n}"
             )
         e = (u, v) if u < v else (v, u)
-        if e in edges:
+        if e in seen:
             raise DocumentError(f"line {lineno}: duplicate edge {e}")
-        edges.add(e)
-    if n is None:
-        raise DocumentError("missing header line 'n <count>'")
-    # every edge is normalized, in range and new: Graph need not check again
-    return Graph.from_edge_set(n, frozenset(edges))
+        seen.add(e)
+    raise InternalInconsistencyError("edge list rejected, but no line is faulty")
 
 
 def format_edge_list(g: Graph) -> str:
@@ -95,12 +157,6 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _face_vertices(faces: FaceSet) -> list[list[int]]:
-    """Each face walk as the list of its darts' tails."""
-    tail = operator.itemgetter(0)
-    return [list(map(tail, walk)) for walk in faces.faces]
-
-
 def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
     if verdict.planar:
         rho = verdict.rotation
@@ -112,7 +168,7 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
         return {
             "status": "planar",
             "rotation": [list(cyc) for cyc in rho.order],
-            "faces": _face_vertices(faces),
+            "faces": [list(walk) for walk in faces.walks],
             "euler": {
                 "V": faces.vertex_count,
                 "E": faces.edge_count,
@@ -131,6 +187,17 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
             "paths": [list(p) for p in cert.paths],
         },
     }
+
+
+def _same_walks(doc_faces: Any, walks: tuple[tuple[int, ...], ...]) -> bool:
+    """doc_faces == [list(w) for w in walks], without building the lists."""
+    return (
+        isinstance(doc_faces, list)
+        and len(doc_faces) == len(walks)
+        and all(
+            isinstance(f, list) and tuple(f) == w for f, w in zip(doc_faces, walks)
+        )
+    )
 
 
 def _require(cond: bool, message: str) -> None:
@@ -193,9 +260,8 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
             return False
         if faces.genus != 0:
             return False
-        if "faces" in doc:
-            if doc["faces"] != _face_vertices(faces):
-                return False
+        if "faces" in doc and not _same_walks(doc["faces"], faces.walks):
+            return False
         if "euler" in doc:
             euler = doc["euler"]
             expected = {

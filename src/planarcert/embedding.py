@@ -20,6 +20,7 @@ keeps the Euler count exact.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import deque
@@ -81,14 +82,25 @@ class RotationSystem:
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Closed dart walks traced from a rotation system, plus Euler data."""
+    """Faces traced from a rotation system, plus Euler data.  Each face is
+    recorded as its closed vertex walk: the tails of its darts in order,
+    the form verdict documents store."""
 
-    faces: tuple[tuple[Dart, ...], ...]
+    walks: tuple[tuple[int, ...], ...]
     vertex_count: int
     edge_count: int
     face_count: int
     components: int
     genus: int
+
+    @property
+    def faces(self) -> tuple[tuple[Dart, ...], ...]:
+        """Each face as its closed dart walk."""
+        return tuple(map(_walk_darts, self.walks))
+
+
+def _walk_darts(walk: tuple[int, ...]) -> tuple[Dart, ...]:
+    return tuple(zip(walk, walk[1:] + walk[:1]))
 
 
 def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
@@ -99,66 +111,69 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
     walk apiece.
 
     Darts are numbered 0..2m-1 in ascending order: dart (u, g.adj[u][k])
-    is number first[u] + k.  One pass over the rotation, which also checks
-    it against g, records for each dart the number of the dart that
-    follows it around its tail.  Walking u ascending over the sorted
-    g.adj[u] then meets the darts in number order and, at each head w,
-    the tails u in ascending order, so a running count at w numbers the
-    reverse dart (w, u).
+    is number first[u] + k, and head[d] is its far end.  One pass over the
+    rotation, which also checks it against g, records for each dart the
+    number of the dart that follows it around its tail; a bisection in the
+    sorted g.adj[v] numbers each dart of v's cycle.  Walking u ascending
+    over the sorted g.adj[u] then meets the darts in number order and, at
+    each head w, the tails u in ascending order, so a running count at w
+    numbers the reverse dart (w, u).
     """
     adj, order, n = g.adj, rho.order, g.n
     if len(order) != n:
         raise ValueError("rotation system does not match the graph")
     first = list(itertools.accumulate(map(len, adj), initial=0))
     total = first[-1]
-    after = list(range(1, total + 1))
+    head = list(itertools.chain.from_iterable(adj))
+    # after[total] is scratch: each cycle's first link lands there, and
+    # its last dart then closes the cycle
+    after = list(range(1, total + 2))
+    bisect_left = bisect.bisect_left
     for v, cyc in enumerate(order):
         nbrs = adj[v]
         if cyc != nbrs:
             # RotationSystem rejects repeated neighbors, so a cycle of
             # g.adj[v]'s length drawn from g.adj[v] is a permutation of it
-            if len(cyc) != len(nbrs):
+            lo, hi = first[v], first[v + 1]
+            if len(cyc) != hi - lo:
                 raise ValueError("rotation system does not match the graph")
-            lo = first[v]
-            number = dict(zip(nbrs, range(lo, lo + len(nbrs))))
-            try:
-                prev = number[cyc[-1]]
-                for w in cyc:
-                    d = number[w]
-                    after[prev] = d
-                    prev = d
-            except KeyError:
-                raise ValueError(
-                    "rotation system does not match the graph"
-                ) from None
+            prev = total
+            for w in cyc:
+                d = lo + bisect_left(nbrs, w)
+                if d == hi or head[d] != w:
+                    raise ValueError("rotation system does not match the graph")
+                after[prev] = d
+                prev = d
+            after[prev] = after[total]
         elif nbrs:
             after[first[v + 1] - 1] = first[v]
-    darts = [(u, w) for u in range(n) for w in adj[u]]
     # the face successor of (u, w) is the dart after (w, u) around w
     count = first[:-1]
     succ = []
-    for _, w in darts:
+    for w in head:
         r = count[w]
         count[w] = r + 1
         succ.append(after[r])
     seen = bytearray(total)
-    walks: list[tuple[Dart, ...]] = []
-    for start in range(total):
-        if seen[start]:
-            continue
-        walk = []
-        d = start
-        while True:
-            walk.append(darts[d])
-            seen[d] = 1
-            d = succ[d]
-            if d == start:
-                break
-        walks.append(tuple(walk))
+    walks: list[tuple[int, ...]] = []
+    for u in range(n):
+        for start in range(first[u], first[u + 1]):
+            if seen[start]:
+                continue
+            walk = []
+            d, v = start, u
+            while True:
+                walk.append(v)
+                seen[d] = 1
+                v = head[d]
+                d = succ[d]
+                if d == start:
+                    break
+            walks.append(tuple(walk))
     # an isolated vertex still bounds one face
     walks.extend(() for nbrs in adj if not nbrs)
     c = g.component_count()
-    v_count, e_count, f_count = g.n, len(g.edges), len(walks)
+    v_count, e_count, f_count = g.n, g.num_edges, len(walks)
     doubled = 2 * c - v_count + e_count - f_count
     if doubled < 0 or doubled % 2:
         raise InternalInconsistencyError(
@@ -177,18 +192,18 @@ def face_boundary(g: Graph, faces: FaceSet, f: int) -> Graph:
     ascending order of the original labels."""
     if not 0 <= f < faces.face_count:
         raise ValueError(f"face index {f} out of range")
-    walk = faces.faces[f]
-    verts = sorted({w for d in walk for w in d})
+    walk = faces.walks[f]
+    verts = sorted(set(walk))
     relabel = {v: i for i, v in enumerate(verts)}
-    edges = {normalize_edge(relabel[u], relabel[v]) for u, v in walk}
+    edges = {normalize_edge(relabel[u], relabel[v]) for u, v in _walk_darts(walk)}
     return Graph(len(verts), edges)
 
 
 def face_covering_all_edges(g: Graph, faces: FaceSet) -> int | None:
     """Index of a face whose walk visits every edge of g, if any."""
     all_edges = g.edges
-    for i, walk in enumerate(faces.faces):
-        if {normalize_edge(u, v) for u, v in walk} == all_edges:
+    for i, walk in enumerate(faces.walks):
+        if {normalize_edge(u, v) for u, v in _walk_darts(walk)} == all_edges:
             return i
     return None
 
@@ -486,7 +501,7 @@ def lr_planar_rotation(
     trace_faces.
     """
     n, adj = g.n, g.adj
-    m = len(g.edges)
+    m = g.num_edges
     if n >= 3 and m > 3 * n - 6:
         return None
     budget = _step_budget(node_budget)
@@ -841,7 +856,7 @@ def lr_kuratowski(
     # vertex v has parts[e] = (edge from ends[e][0] to v, v, edge from v to
     # ends[e][1]), an edge of g has parts[e] = None
     nbr: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    ends: list[tuple[int, int]] = sorted(g.edges)
+    ends: list[tuple[int, int]] = list(g.sorted_edges())
     parts: list[tuple[int, int, int] | None] = [None] * len(ends)
     for e, (u, v) in enumerate(ends):
         nbr[u][v] = nbr[v][u] = e

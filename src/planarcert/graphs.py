@@ -10,6 +10,7 @@ all renamings are deterministic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Iterator
 
@@ -30,12 +31,14 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    `adj_mask` (per-vertex neighbor bitmasks, n bits each) and the hash are
-    built on first use: only the small-graph searches read the masks, and
-    building them for a large graph costs O(n * m / 64).
+    `adj` lists each vertex's neighbors in ascending order.  The edge set,
+    the per-vertex neighbor bitmasks (n bits each) and the hash are built
+    on first use: the certificate audit reads only `adj`, only the
+    small-graph searches read the masks, and building the masks for a
+    large graph costs O(n * m / 64).
     """
 
-    __slots__ = ("n", "edges", "adj", "_adj_mask", "_hash")
+    __slots__ = ("n", "num_edges", "adj", "_edges", "_adj_mask", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         edge_set: set[Edge] = set()
@@ -55,6 +58,18 @@ class Graph:
         g._build(n, edges)
         return g
 
+    @classmethod
+    def from_adjacency(cls, adj: tuple[tuple[int, ...], ...], m: int) -> Graph:
+        """The graph whose vertex v has the neighbors adj[v], m edges in
+        all.  The lists must already be ascending, symmetric, in range and
+        free of loops and repeats; they are not checked again."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.num_edges = m
+        g.adj = adj
+        g._edges = g._adj_mask = g._hash = None
+        return g
+
     def _build(self, n: int, edges: frozenset[Edge]) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -65,10 +80,18 @@ class Graph:
         for nbrs in adj:
             nbrs.sort()
         self.n = n
-        self.edges = edges
+        self.num_edges = len(edges)
         self.adj = tuple(map(tuple, adj))
+        self._edges: frozenset[Edge] | None = edges
         self._adj_mask: tuple[int, ...] | None = None
         self._hash: int | None = None
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = frozenset(self.sorted_edges())
+        return edges
 
     @property
     def adj_mask(self) -> tuple[int, ...]:
@@ -79,10 +102,6 @@ class Graph:
             )
         return mask
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -90,10 +109,20 @@ class Graph:
         return tuple(len(nbrs) for nbrs in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.adj[u]
+        i = bisect.bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        """Every edge (u, v), u < v, in ascending order."""
+        if self._edges is not None:
+            # faster on the small graphs the searches build
+            return tuple(sorted(self._edges))
+        return tuple(
+            [(u, w) for u, nbrs in enumerate(self.adj) for w in nbrs if u < w]
+        )
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum."""
@@ -124,15 +153,16 @@ class Graph:
     def edge_mask(self) -> int:
         """Edge set as a bitmask over vertex pairs in lexicographic order."""
         mask = 0
+        edges = self.edges
         for i, pair in enumerate(itertools.combinations(range(self.n), 2)):
-            if pair in self.edges:
+            if pair in edges:
                 mask |= 1 << i
         return mask
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
         h = self._hash
@@ -141,7 +171,7 @@ class Graph:
         return h
 
     def __repr__(self) -> str:
-        return f"Graph({self.n}, {sorted(self.edges)})"
+        return f"Graph({self.n}, {list(self.sorted_edges())})"
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
@@ -359,7 +389,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     Prunes on degree sequences and neighbor-degree multisets; intended
     for the small graphs (n <= 10) used throughout this package.
     """
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or g.num_edges != h.num_edges:
         return False
     if g.n == 0:
         return True

@@ -23,7 +23,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CapacityError
 from .graphs import Graph, contract_edge, from_edge_mask
@@ -412,3 +412,18 @@ def verify_lifting(
         tuple(mismatches),
         time.perf_counter() - t0,
     )
+
+
+# Every campaign by name.  A runner takes (max_n, samples, seed) and passes
+# on what its campaign uses; it looks the campaign up when called, so a
+# rebinding of the module's function is what runs.
+CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignReport]] = {
+    "kuratowski": lambda max_n, samples, seed: verify_kuratowski(max_n),
+    "kuratowski-classes": lambda max_n, samples, seed: verify_kuratowski_classes(
+        max_n
+    ),
+    "lemma": lambda max_n, samples, seed: verify_lemma_characterization(max_n),
+    "chartrand-harary": lambda max_n, samples, seed: verify_chartrand_harary(max_n),
+    "menger-cubic": lambda max_n, samples, seed: verify_menger_cubic(samples, seed),
+    "lifting": lambda max_n, samples, seed: verify_lifting(samples, seed),
+}

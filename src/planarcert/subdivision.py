@@ -352,7 +352,7 @@ def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | Non
     need_deg = pattern.branch_degree
     bc = pattern.branch_count
     candidates = [v for v in range(g.n) if len(g.adj[v]) >= need_deg]
-    if len(candidates) < bc or len(g.edges) < len(pattern.edge_list):
+    if len(candidates) < bc or g.num_edges < len(pattern.edge_list):
         return None
     dist = _all_pairs_distances(g)
     free_budget = g.n - bc
@@ -439,7 +439,7 @@ def find_minor(g: Graph, pattern: Pattern) -> MinorCertificate | None:
     placed.
     """
     bc = pattern.branch_count
-    if g.n < bc or len(g.edges) < len(pattern.edge_list):
+    if g.n < bc or g.num_edges < len(pattern.edge_list):
         return None
     order = _MINOR_ORDER[pattern]
     seed_above = _SEED_ABOVE[pattern]

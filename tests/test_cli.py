@@ -2,12 +2,14 @@ import copy
 import dataclasses
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planarcert import cli
+from planarcert import cli, documents
 from planarcert.cli import build_parser, main
 from planarcert.documents import (
     DocumentError,
@@ -66,6 +68,138 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("n 4\n0 9\n")
     with pytest.raises(DocumentError):
         parse_edge_list("")
+
+
+def test_readme_edge_list_example_parses():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    intro = readme.index("reads edge-list files")
+    start = readme.index("```\n", intro) + 4
+    block = readme[start:readme.index("```", start)]
+    assert parse_edge_list(block) == Graph(5, [(0, 1), (0, 2)])
+
+
+def test_trailing_comments_are_rejected_with_their_line():
+    with pytest.raises(DocumentError, match=r"^line 1: expected header"):
+        parse_edge_list("n 5 # header\n0 1\n")
+    message = r"^line 3: expected 'u v', got '0 2 # edge'"
+    with pytest.raises(DocumentError, match=message):
+        parse_edge_list("n 5\n0 1\n0 2 # edge\n")
+
+
+def test_vertex_count_is_capped_before_allocating(monkeypatch):
+    monkeypatch.setattr(documents, "MAX_VERTICES", 100)
+    assert parse_edge_list("n 100\n0 99\n").n == 100
+    with pytest.raises(DocumentError, match=r"^line 1: vertex count 101 is above"):
+        parse_edge_list("n 101\n")
+    with pytest.raises(DocumentError, match=r"^line 2: "):
+        parse_edge_list("# a comment first\nn 101\n")
+
+
+def reference_parse(text):
+    """Line-by-line edge-list parser, one set of edge tuples: the
+    specification parse_edge_list must reproduce, graph or message."""
+    n = None
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if n is None:
+            if len(tokens) != 2 or tokens[0] != "n":
+                raise DocumentError(
+                    f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}"
+                )
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise DocumentError(
+                    f"line {lineno}: vertex count {tokens[1]!r} is not an integer"
+                ) from None
+            if n < 0:
+                raise DocumentError(f"line {lineno}: negative vertex count")
+            continue
+        if len(tokens) != 2:
+            raise DocumentError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise DocumentError(
+                f"line {lineno}: edge endpoints must be integers"
+            ) from None
+        if u == v:
+            raise DocumentError(f"line {lineno}: loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DocumentError(
+                f"line {lineno}: edge ({u}, {v}) out of range for n={n}"
+            )
+        e = (u, v) if u < v else (v, u)
+        if e in edges:
+            raise DocumentError(f"line {lineno}: duplicate edge {e}")
+        edges.add(e)
+    if n is None:
+        raise DocumentError("missing header line 'n <count>'")
+    return Graph(n, edges)
+
+
+FILLER = ("", "   ", "# note", "#1 2", "  # 3 4 5", "#")
+
+
+@st.composite
+def edge_list_files(draw):
+    """A valid edge list with comment and blank lines, and up to two faulty
+    lines: a repeated edge, a loop, an id out of range, a wrong token count
+    or a token that is not an integer."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [
+        draw(st.sampled_from([f"{u} {v}", f"{v} {u}", f"  {u}\t{v} "]))
+        for u, v in edges
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["dup", "loop", "range", "count", "int"]))
+        if kind == "dup" and edges:
+            u, v = draw(st.sampled_from(edges))
+            bad = draw(st.sampled_from([f"{u} {v}", f"{v} {u}"]))
+        elif kind == "loop":
+            v = draw(st.integers(0, n))
+            bad = f"{v} {v}"
+        elif kind == "range":
+            inside = draw(st.integers(0, max(n - 1, 0)))
+            outside = draw(st.one_of(st.integers(n, n + 2), st.integers(-3, -1)))
+            bad = draw(st.sampled_from([f"{inside} {outside}", f"{outside} {inside}"]))
+        elif kind == "count":
+            bad = draw(st.sampled_from(["1", "0 1 2", "n 3"]))
+        else:
+            bad = draw(st.sampled_from(["a 1", "1 2.5", "0x1 2", "1 #2"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLER)))
+    head = draw(st.lists(st.sampled_from(FILLER), max_size=2))
+    return "\n".join([*head, f"n {n}", *lines]) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except DocumentError as exc:
+        return str(exc)
+    return (g.n, g.num_edges, g.adj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_files())
+@example("n 3\n0 1\n-1 2\n")
+@example("n 3\n0 1\n2 -3\n")
+@example("n 3\n0 1\n1 3\n")
+@example("n 3\n0 1\n2 2\n")
+@example("n 3\n0 1\n1 0\n")
+@example("n 3\n#1 2\n0 1 # edge\n")
+@example("n 3\n0 x\n")
+@example("n 3\n0 1\n1 2\n0 1\n5 5\n")
+@example("n 3\n1 2\n0 9\n2 1\n")
+def test_parse_edge_list_matches_a_line_by_line_reference(text):
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse, text)
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,10 +275,19 @@ def test_auditing_a_subdivided_k5_never_builds_neighbor_masks():
     }
     assert g.n == 2005
     assert verdict_doc_is_valid(g, doc)
-    assert g._adj_mask is None
+    assert g._adj_mask is None and g._edges is None
     paths[3] = paths[3][:-2] + paths[3][-1:]  # skips a vertex: not a path of g
     assert not verdict_doc_is_valid(g, doc)
-    assert g._adj_mask is None
+    assert g._adj_mask is None and g._edges is None
+
+
+def test_auditing_a_planar_grid_never_builds_the_edge_set():
+    grid = grid_graph(30, 30)
+    doc = verdict_to_doc(grid, decide(grid))
+    g = parse_edge_list(format_edge_list(grid))
+    assert verdict_doc_is_valid(g, doc)
+    assert g._edges is None and g._adj_mask is None
+    assert g.edges == grid.edges  # built on first use
 
 
 def test_check_refuses_a_verdict_without_its_witness(capsys, write, monkeypatch):
@@ -359,6 +502,26 @@ def test_harness_command(capsys):
 def test_harness_unknown_campaign_exits_2(capsys):
     code, _, _ = run(capsys, ["harness", "bogus"])
     assert code == 2
+
+
+def test_harness_dispatches_through_the_campaign_registry(capsys, monkeypatch):
+    from planarcert import harness
+
+    code, _, err = run(capsys, ["harness", "bogus"])
+    assert code == 2
+    assert all(repr(name) in err for name in harness.CAMPAIGNS)
+    calls = []
+    real = harness.verify_lifting
+
+    def spy(samples, seed):
+        calls.append((samples, seed))
+        return real(samples, seed)
+
+    # runners look campaigns up when called, so a rebinding is what runs
+    monkeypatch.setattr(harness, "verify_lifting", spy)
+    code, out, _ = run(capsys, ["harness", "lifting", "--samples", "3", "--seed", "5"])
+    assert (code, calls) == (0, [(3, 5)])
+    assert out == real(3, 5).to_kv()
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -78,8 +78,9 @@ def random_rotation(g, seed):
 
 
 def reference_faces(g, rho):
-    """Faces traced on a dict of tuple darts, every dart sorted: the
-    specification trace_faces must reproduce field by field."""
+    """Faces traced on a dict of tuple darts, every dart sorted, each
+    recorded as the tails of its darts: the specification trace_faces must
+    reproduce field by field.  Also returns the dart walks themselves."""
     if rho.n != g.n or any(
         tuple(sorted(cyc)) != g.adj[v] for v, cyc in enumerate(rho.order)
     ):
@@ -101,8 +102,10 @@ def reference_faces(g, rho):
                 break
         walks.append(tuple(walk))
     walks += [() for v in range(g.n) if not g.adj[v]]
+    tails = tuple(tuple(u for u, _ in walk) for walk in walks)
     c, e, f = g.component_count(), len(g.edges), len(walks)
-    return FaceSet(tuple(walks), g.n, e, f, c, (2 * c - g.n + e - f) // 2)
+    faces = FaceSet(tails, g.n, e, f, c, (2 * c - g.n + e - f) // 2)
+    return faces, tuple(walks)
 
 
 @st.composite
@@ -131,9 +134,11 @@ TRIANGLE_EDGE_AND_POINTS = (
 @example(TRIANGLE_EDGE_AND_POINTS)
 def test_trace_faces_matches_a_dict_based_tracer(graph_and_rotation):
     g, rho = graph_and_rotation
-    got, want = trace_faces(g, rho), reference_faces(g, rho)
+    got = trace_faces(g, rho)
+    want, want_darts = reference_faces(g, rho)
     for field in dataclasses.fields(FaceSet):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert got.faces == want_darts
 
 
 def test_trace_faces_rejects_every_kind_of_mismatch():

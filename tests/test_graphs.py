@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarcert.documents import format_edge_list, parse_edge_list
 from planarcert.errors import CapacityError
 from planarcert.graphs import (
     Graph,
@@ -121,10 +122,25 @@ def test_neighbor_masks_are_built_on_demand(g):
     for u in range(g.n):
         for v in range(g.n):
             assert g.has_edge(u, v) == (normalize_edge(u, v) in g.edges)
-    assert g._adj_mask is None  # has_edge reads the edge set
+    assert g._adj_mask is None  # has_edge reads the sorted adjacency
     assert g.adj_mask == tuple(eager)
     assert g.adj_mask is g.adj_mask  # built once
     assert hash(g) == hash(Graph(g.n, sorted(g.edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8))
+def test_parsed_graphs_build_the_edge_set_on_demand(g):
+    parsed = parse_edge_list(format_edge_list(g))
+    assert parsed._edges is None
+    assert parsed.num_edges == g.num_edges and parsed.adj == g.adj
+    assert parsed.sorted_edges() == g.sorted_edges() == tuple(sorted(g.edges))
+    ids = range(-1, g.n + 1)
+    checks = [(u, v, parsed.has_edge(u, v)) for u in ids for v in ids]
+    assert parsed._edges is None  # has_edge reads the sorted adjacency
+    for u, v, found in checks:
+        assert found == (normalize_edge(u, v) in parsed.edges)
+    assert parsed == g and parsed.edges == g.edges and hash(parsed) == hash(g)
 
 
 def test_delete_vertex_map_translates_edges():
