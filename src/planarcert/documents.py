@@ -2,8 +2,8 @@
 
 Edge-list format: a header line ``n <count>`` (at most MAX_VERTICES),
 then one ``u v`` line per edge with 0-based ids; lines starting with
-``#`` and blank lines are ignored.  Printing normalizes edges to u < v and sorts them, so the
-format round-trips exactly.
+``#`` and blank lines are ignored.  Printing normalizes edges to u < v
+and sorts them, so the format round-trips exactly.
 
 Verdict documents are plain JSON objects.  Planar:
 ``{"status": "planar", "rotation": [...], "faces": [...],
@@ -17,7 +17,7 @@ pattern's edge order.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, NoReturn
+from typing import Any, Iterator
 
 from .embedding import RotationSystem, trace_faces
 from .errors import InternalInconsistencyError
@@ -46,19 +46,20 @@ def parse_edge_list(text: str) -> Graph:
 
     One pass appends both ends of every edge line to per-vertex lists.  A
     line that is not two integers, a negative or too large id, or a
-    repeated neighbor (a loop or a repeated edge) sends the lines through a
-    second, line-by-line check that reports the first faulty line."""
+    repeated neighbor (a loop or a repeated edge) sends the lines through
+    the line-by-line parser instead, which reports the first faulty line
+    (or, for a rare comment shape such as ``#1 2``, finds none)."""
     lines = text.splitlines()
     n, body = _parse_header(lines)
     adj: list[list[int]] = [[] for _ in range(n)]
     rows = map(str.split, itertools.islice(lines, body, None))
-    ok = _append_edges(rows, adj)
-    darts = sum(map(len, adj))
-    if not ok or sum(map(len, map(set, adj))) != darts:
-        _raise_first_fault(lines, body, n)
-    for nbrs in adj:
-        nbrs.sort()
-    return Graph.from_adjacency(tuple(map(tuple, adj)), darts // 2)
+    if _append_edges(rows, adj):
+        darts = sum(map(len, adj))
+        if sum(map(len, map(set, adj))) == darts:
+            for nbrs in adj:
+                nbrs.sort()
+            return Graph.from_adjacency(tuple(map(tuple, adj)), darts // 2)
+    return _parse_edge_lines(lines, body, n)
 
 
 def _parse_header(lines: list[str]) -> tuple[int, int]:
@@ -91,33 +92,29 @@ def _parse_header(lines: list[str]) -> tuple[int, int]:
 
 def _append_edges(rows: Iterator[list[str]], adj: list[list[int]]) -> bool:
     """Append both ends of every edge row to adj; False at the first row
-    that is not a comment, a blank or two ids in range.  Ids of n or more
-    fail the append with IndexError; a loop at v puts v twice in adj[v],
-    which the caller's search for repeated neighbors finds."""
-    tokens: list[str] = []
-    while True:
-        try:
-            for tokens in rows:
-                if len(tokens) == 2:
-                    u = int(tokens[0])
-                    v = int(tokens[1])
-                    if u >= 0 and v >= 0:
-                        adj[u].append(v)
-                        adj[v].append(u)
-                        continue
-                if tokens and not tokens[0].startswith("#"):
-                    return False
-            return True
-        except ValueError:
-            # a two-token comment such as "#1 2" fails int(); resume after it
-            if not tokens[0].startswith("#"):
+    that is not a comment, a blank or two non-negative integers below n.
+    A two-token comment such as ``#1 2`` also gives False.  Ids of n or
+    more fail the append with IndexError; a loop at v puts v twice in
+    adj[v], which the caller's search for repeated neighbors finds."""
+    try:
+        for tokens in rows:
+            if len(tokens) == 2:
+                u = int(tokens[0])
+                v = int(tokens[1])
+                if u >= 0 and v >= 0:
+                    adj[u].append(v)
+                    adj[v].append(u)
+                    continue
+            if tokens and not tokens[0].startswith("#"):
                 return False
-        except IndexError:
-            return False
+        return True
+    except (ValueError, IndexError):
+        return False
 
 
-def _raise_first_fault(lines: list[str], body: int, n: int) -> NoReturn:
-    """Raise the DocumentError of the first faulty edge line."""
+def _parse_edge_lines(lines: list[str], body: int, n: int) -> Graph:
+    """The graph on n vertices whose edges are lines[body:], checked line
+    by line; raises the DocumentError of the first faulty line."""
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(itertools.islice(lines, body, None), body + 1):
         tokens = raw.split()
@@ -143,7 +140,8 @@ def _raise_first_fault(lines: list[str], body: int, n: int) -> NoReturn:
         if e in seen:
             raise DocumentError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
-    raise InternalInconsistencyError("edge list rejected, but no line is faulty")
+    # every edge is normalized, in range and new: Graph need not check again
+    return Graph.from_edge_set(n, frozenset(seen))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -187,17 +185,6 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
             "paths": [list(p) for p in cert.paths],
         },
     }
-
-
-def _same_walks(doc_faces: Any, walks: tuple[tuple[int, ...], ...]) -> bool:
-    """doc_faces == [list(w) for w in walks], without building the lists."""
-    return (
-        isinstance(doc_faces, list)
-        and len(doc_faces) == len(walks)
-        and all(
-            isinstance(f, list) and tuple(f) == w for f, w in zip(doc_faces, walks)
-        )
-    )
 
 
 def _require(cond: bool, message: str) -> None:
@@ -260,7 +247,7 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
             return False
         if faces.genus != 0:
             return False
-        if "faces" in doc and not _same_walks(doc["faces"], faces.walks):
+        if "faces" in doc and doc["faces"] != [list(w) for w in faces.walks]:
             return False
         if "euler" in doc:
             euler = doc["euler"]

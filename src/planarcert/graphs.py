@@ -117,9 +117,6 @@ class Graph:
 
     def sorted_edges(self) -> tuple[Edge, ...]:
         """Every edge (u, v), u < v, in ascending order."""
-        if self._edges is not None:
-            # faster on the small graphs the searches build
-            return tuple(sorted(self._edges))
         return tuple(
             [(u, w) for u, nbrs in enumerate(self.adj) for w in nbrs if u < w]
         )

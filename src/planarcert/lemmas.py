@@ -67,7 +67,7 @@ def condition1(g: Graph) -> bool:
 
 def condition2(g: Graph) -> bool:
     """Every K - x - y is a cycle on >= 3 vertices; false if K is edgeless."""
-    if not g.edges:
+    if not g.num_edges:
         return False
     return all(_is_cycle(_end_deleted(g, x, y)) for x, y in g.sorted_edges())
 
@@ -93,7 +93,7 @@ def lemma_report(g: Graph) -> LemmaReport:
     """Evaluate all three conditions, with per-edge failure witnesses."""
     witnesses: list[tuple[Edge, str]] = []
     c1 = True
-    c2 = bool(g.edges)
+    c2 = g.num_edges > 0
     for x, y in g.sorted_edges():
         reduced = _end_deleted(g, x, y)
         if any(len(nbrs) < 2 for nbrs in reduced.adj):

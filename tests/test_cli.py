@@ -195,6 +195,7 @@ def parse_outcome(parse, text):
 @example("n 3\n0 1\n2 2\n")
 @example("n 3\n0 1\n1 0\n")
 @example("n 3\n#1 2\n0 1 # edge\n")
+@example("n 3\n#1 2\n0 1\n1 2\n")
 @example("n 3\n0 x\n")
 @example("n 3\n0 1\n1 2\n0 1\n5 5\n")
 @example("n 3\n1 2\n0 9\n2 1\n")
