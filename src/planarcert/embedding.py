@@ -25,7 +25,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph, normalize_edge
@@ -203,7 +203,9 @@ def face_covering_all_edges(g: Graph, faces: FaceSet) -> int | None:
     """Index of a face whose walk visits every edge of g, if any."""
     all_edges = g.edges
     for i, walk in enumerate(faces.walks):
-        if {normalize_edge(u, v) for u, v in _walk_darts(walk)} == all_edges:
+        if len(walk) >= len(all_edges) and all_edges == {
+            normalize_edge(u, v) for u, v in _walk_darts(walk)
+        }:
             return i
     return None
 
@@ -263,9 +265,7 @@ def _step_budget(node_budget: int | StepBudget | None) -> StepBudget:
 
 
 def find_planar_rotation(
-    g: Graph,
-    node_budget: int | None = None,
-    edge_bound_prefilter: bool = True,
+    g: Graph, node_budget: int | None = None
 ) -> RotationSystem | None:
     """A genus-0 rotation system if one exists, else None.
 
@@ -281,13 +281,13 @@ def find_planar_rotation(
 
     `node_budget` bounds the number of cyclic orders tried across the
     whole call; exceeding it raises SearchBudgetExceeded, which is
-    distinct from a planarity verdict.  The prefilter rejects any
-    component with more than 3V - 6 edges outright.
+    distinct from a planarity verdict.  A component with more than
+    3V - 6 edges is rejected before any order is tried.
     """
     budget = StepBudget(node_budget)
     orders: list[tuple[int, ...]] = [()] * g.n
     for comp in g.components():
-        found = _embed_component(g, comp, budget, edge_bound_prefilter, None)
+        found = next(_planar_rotations(g, comp, budget), None)
         if found is None:
             return None
         for v, cyc in found.items():
@@ -301,108 +301,132 @@ def find_covering_planar_rotation(
 ) -> RotationSystem | None:
     """A genus-0 rotation system with one face covering every edge, if any.
 
-    Same search as find_planar_rotation but with a stronger acceptance
-    test at the leaves; meaningful for connected graphs only (a single
-    face walk cannot leave a component), so disconnected inputs with
-    edges in two components always yield None.
+    The first completion of find_planar_rotation's search whose traced
+    faces include one covering every edge; meaningful for connected
+    graphs only (a single face walk cannot leave a component), so
+    disconnected inputs with edges in two components always yield None.
     """
-    comps = g.components()
-    if sum(1 for c in comps if any(g.adj[v] for v in c)) > 1:
-        return None
-    budget = StepBudget(node_budget)
     orders: list[tuple[int, ...]] = [()] * g.n
-    for comp in comps:
-        edge_total = sum(len(g.adj[v]) for v in comp) // 2
-
-        def covers(succ: dict[Dart, Dart], m: int = edge_total) -> bool:
-            return _has_covering_face(succ, m)
-
-        found = _embed_component(
-            g, comp, budget, True, covers if edge_total else None
-        )
-        if found is None:
-            return None
+    edged = [comp for comp in g.components() if len(comp) > 1]
+    if not edged:
+        return RotationSystem(orders)
+    if len(edged) > 1:
+        return None
+    for found in _planar_rotations(g, edged[0], StepBudget(node_budget)):
         for v, cyc in found.items():
             orders[v] = cyc
-    return RotationSystem(orders)
+        rho = RotationSystem(orders)
+        if face_covering_all_edges(g, trace_faces(g, rho)) is not None:
+            return rho
+    return None
 
 
-def _has_covering_face(succ: dict[Dart, Dart], edge_total: int) -> bool:
-    seen: set[Dart] = set()
-    for start in succ:
-        if start in seen:
-            continue
-        edges = set()
-        dart = start
-        while True:
-            seen.add(dart)
-            edges.add(normalize_edge(*dart))
-            dart = succ[dart]
-            if dart == start:
-                break
-        if len(edges) == edge_total:
-            return True
-    return False
+def _planar_rotations(
+    g: Graph, comp: tuple[int, ...], budget: StepBudget
+) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Every genus-0 rotation of the component comp, in search order, each
+    as a map from vertex to its cyclic order of neighbors.
 
-
-def _embed_component(
-    g: Graph,
-    comp: tuple[int, ...],
-    budget: StepBudget,
-    prefilter: bool,
-    accept: Callable[[dict[Dart, Dart]], bool] | None,
-) -> dict[int, tuple[int, ...]] | None:
+    The search runs on the component relabelled 0..nv-1 in ascending
+    order, so neighbor order, and with it the search order, is g's.  Dart
+    (v, adj[v][k]) is number first[v] + k, head[d] is its far end and
+    rev[d] its reverse; a cyclic order is a tuple of v's outgoing darts.
+    Linking the darts entering v to their face successors joins chains:
+    head_of, read at a chain's tail, and tail_of, read at its head, join
+    the ends, chain_len counts a chain's darts at its head, and a link
+    that meets its own head closes a face.
+    """
     nv = len(comp)
-    ne = sum(len(g.adj[v]) for v in comp) // 2
-    if ne == 0:
-        return {comp[0]: ()}
-    if prefilter and nv >= 3 and ne > 3 * nv - 6:
-        return None
+    if nv == 1:
+        yield {comp[0]: ()}
+        return
+    if nv == g.n:  # the only component: the relabelling is the identity
+        adj = g.adj
+    else:
+        local = {v: i for i, v in enumerate(comp)}
+        adj = tuple([local[w] for w in g.adj[v]] for v in comp)
+    first = list(itertools.accumulate(map(len, adj), initial=0))
+    total = first[-1]
+    ne = total // 2
+    if nv >= 3 and ne > 3 * nv - 6:
+        return
     f_needed = ne - nv + 2
+    # each still-open face needs >= 3 darts once a component has >= 2 edges
+    min_face_len = 3 if ne >= 2 else 1
 
     # assignment order: densest vertex first, then greedily the vertex with
     # the most edges into the assigned prefix (links close faces sooner, so
     # the pruning bound bites earlier), degree as tiebreak
-    start = max(comp, key=lambda v: (len(g.adj[v]), -v))
-    order = [start]
-    chosen_set = {start}
-    while len(order) < nv:
-        frontier = {
-            w for v in order for w in g.adj[v] if w not in chosen_set
-        }
-        nxt = max(
-            frontier,
-            key=lambda v: (
-                sum(1 for w in g.adj[v] if w in chosen_set),
-                len(g.adj[v]),
-                -v,
-            ),
-        )
-        order.append(nxt)
-        chosen_set.add(nxt)
+    order = [max(range(nv), key=lambda v: (len(adj[v]), -v))]
+    links = [0] * nv  # edges into the assigned prefix; -1 once assigned
+    frontier: set[int] = set()
+    while True:
+        v = order[-1]
+        links[v] = -1
+        frontier.discard(v)
+        for w in adj[v]:
+            if links[w] >= 0:
+                links[w] += 1
+                frontier.add(w)
+        if not frontier:
+            break
+        order.append(max(frontier, key=lambda w: (links[w], len(adj[w]), -w)))
+    # darts still unlinked once order[:i + 1] is assigned
+    remaining = [
+        total - s for s in itertools.accumulate(len(adj[v]) for v in order)
+    ]
 
-    n = g.n
-    size = n * n
-    head_of = list(range(size))  # chain head, queried at chain tails
-    tail_of = list(range(size))  # chain tail, queried at chain heads
-    chain_len = [1] * size  # dart count of a chain, queried at its head
-    chosen: dict[int, tuple[int, ...]] = {}
-    closed = [0]  # faces closed so far
-    closed_darts = [0]  # darts locked inside closed faces
-    # each still-open face needs >= 3 darts once a component has >= 2 edges
-    min_face_len = 3 if ne >= 2 else 1
+    head = list(itertools.chain.from_iterable(adj))
+    rev = [0] * total
+    count = first[:-1]
+    for d, w in enumerate(head):
+        rev[count[w]] = d
+        count[w] += 1
 
-    def link_cycle(v: int, cyc: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-        """Define face successors for all darts entering v; return undo log."""
-        log = []
+    def cyclic_orders(v: int, mirror_cut: bool) -> Iterator[tuple[int, ...]]:
+        lo, hi = first[v], first[v + 1]
+        if hi - lo <= 2:
+            yield tuple(range(lo, hi))
+            return
+        for perm in itertools.permutations(range(lo + 1, hi)):
+            if mirror_cut and perm[0] > perm[-1]:
+                continue  # mirror image already tried
+            yield (lo,) + perm
+
+    head_of = list(range(total))
+    tail_of = list(range(total))
+    chain_len = [1] * total
+    closed = closed_darts = 0  # faces closed, darts locked inside them
+    chosen: list[tuple[int, ...]] = [()] * nv
+    # one entry per assigned level: its vertex's untried cyclic orders and
+    # the undo log of the order it has linked
+    stack: list[tuple[Iterator[tuple[int, ...]], list[tuple[int, int, int, int]]]]
+    stack = [(cyclic_orders(order[0], True), [])]
+    while stack:
+        untried, log = stack[-1]
+        for t, old_head, h, old_tail in reversed(log):
+            if t < 0:
+                closed -= 1
+                closed_darts -= chain_len[old_head]
+            else:
+                chain_len[h] -= chain_len[old_head]
+                head_of[t] = old_head
+                tail_of[h] = old_tail
+        log.clear()
+        cyc = next(untried, None)
+        if cyc is None:
+            stack.pop()
+            continue
+        budget.tick()
         deg = len(cyc)
-        for i, u in enumerate(cyc):
-            d = u * n + v
-            e = v * n + cyc[(i + 1) % deg]
+        for i, x in enumerate(cyc):
+            # the dart coming in along x's edge leaves along the next one
+            d = rev[x]
+            e = cyc[(i + 1) % deg]
             h = head_of[d]
             if h == e:
-                closed[0] += 1
-                closed_darts[0] += chain_len[h]
+                closed += 1
+                closed_darts += chain_len[h]
                 log.append((-1, h, -1, -1))
             else:
                 t = tail_of[e]
@@ -410,65 +434,24 @@ def _embed_component(
                 head_of[t] = h
                 tail_of[h] = t
                 chain_len[h] += chain_len[e]
-        return log
-
-    def unlink(log: list[tuple[int, int, int, int]]) -> None:
-        for t, old_head, h, old_tail in reversed(log):
-            if t < 0:
-                closed[0] -= 1
-                closed_darts[0] -= chain_len[old_head]
-            else:
-                chain_len[h] -= chain_len[old_head]
-                head_of[t] = old_head
-                tail_of[h] = old_tail
-
-    def cyclic_orders(v: int, first: bool) -> Iterator[tuple[int, ...]]:
-        nbrs = g.adj[v]
-        if len(nbrs) <= 2:
-            yield nbrs
-            return
-        anchor, rest = nbrs[0], nbrs[1:]
-        for perm in itertools.permutations(rest):
-            if first and perm[0] > perm[-1]:
-                continue  # mirror image already tried
-            yield (anchor,) + perm
-
-    total_darts = 2 * ne
-
-    def assign(idx: int, darts_open: int) -> bool:
-        if idx == nv:
-            if closed[0] != f_needed:
-                raise InternalInconsistencyError(
-                    f"complete rotation closed {closed[0]} faces, "
-                    f"expected {f_needed}"
-                )
-            if accept is not None:
-                succ: dict[Dart, Dart] = {}
-                for v, cyc in chosen.items():
-                    deg = len(cyc)
-                    for i, u in enumerate(cyc):
-                        succ[(u, v)] = (v, cyc[(i + 1) % deg])
-                return accept(succ)
-            return True
-        v = order[idx]
-        remaining = darts_open - len(g.adj[v])
-        for cyc in cyclic_orders(v, idx == 0):
-            budget.tick()
-            log = link_cycle(v, cyc)
-            future = (total_darts - closed_darts[0]) // min_face_len
-            if remaining < future:
-                future = remaining
-            if closed[0] + future >= f_needed:
-                chosen[v] = cyc
-                if assign(idx + 1, remaining):
-                    return True
-                del chosen[v]
-            unlink(log)
-        return False
-
-    if assign(0, total_darts):
-        return dict(chosen)
-    return None
+        level = len(stack) - 1
+        future = (total - closed_darts) // min_face_len
+        if remaining[level] < future:
+            future = remaining[level]
+        if closed + future < f_needed:
+            continue
+        chosen[level] = cyc
+        if level + 1 < nv:
+            stack.append((cyclic_orders(order[level + 1], False), []))
+            continue
+        if closed != f_needed:
+            raise InternalInconsistencyError(
+                f"complete rotation closed {closed} faces, expected {f_needed}"
+            )
+        yield {
+            comp[v]: tuple([comp[head[d]] for d in darts])
+            for v, darts in zip(order, chosen)
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
 from .graphs import Graph, contract_edge, from_edge_mask
@@ -147,22 +147,23 @@ def _edge_index_permutations(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def canonical_edge_mask(g: Graph) -> int:
-    """Minimum edge bitmask over all vertex relabelings (n <= 7)."""
-    if g.n > MAX_CLASS_N:
-        raise CapacityError(f"canonical form supports n <= {MAX_CLASS_N}")
-    mask = g.edge_mask()
-    best = mask
-    for emap in _edge_index_permutations(g.n):
+def _mask_orbit(mask: int, emaps: list[tuple[int, ...]]) -> Iterator[int]:
+    """The edge mask's image under each relabeling in emaps."""
+    for emap in emaps:
         img = 0
         m = mask
         while m:
             bit = (m & -m).bit_length() - 1
             m &= m - 1
             img |= 1 << emap[bit]
-        if img < best:
-            best = img
-    return best
+        yield img
+
+
+def canonical_edge_mask(g: Graph) -> int:
+    """Minimum edge bitmask over all vertex relabelings (n <= 7)."""
+    if g.n > MAX_CLASS_N:
+        raise CapacityError(f"canonical form supports n <= {MAX_CLASS_N}")
+    return min(_mask_orbit(g.edge_mask(), _edge_index_permutations(g.n)))
 
 
 def enumerate_graph_class_masks(n: int) -> list[int]:
@@ -182,13 +183,7 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
         if seen[mask]:
             continue
         reps.append(mask)
-        for emap in emaps:
-            img = 0
-            m = mask
-            while m:
-                bit = (m & -m).bit_length() - 1
-                m &= m - 1
-                img |= 1 << emap[bit]
+        for img in _mask_orbit(mask, emaps):
             seen[img] = 1
     return reps
 

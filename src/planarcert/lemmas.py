@@ -16,6 +16,7 @@ the exhaustive campaigns in `harness` machine-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InternalInconsistencyError
 from .graphs import Edge, Graph, are_isomorphic, complete_bipartite, complete_graph, delete_vertices, normalize_edge
@@ -37,11 +38,6 @@ class LemmaReport:
     witnesses: tuple[tuple[Edge, str], ...]
 
 
-def _end_deleted(g: Graph, x: int, y: int) -> Graph:
-    reduced, _ = delete_vertices(g, (x, y))
-    return reduced
-
-
 def _is_cycle(g: Graph) -> bool:
     return (
         g.n >= 3
@@ -50,26 +46,37 @@ def _is_cycle(g: Graph) -> bool:
     )
 
 
+def _condition1_failure(reduced: Graph) -> str | None:
+    """Why K - x - y breaks condition1, or None if it does not."""
+    if any(len(nbrs) < 2 for nbrs in reduced.adj):
+        return REASON_LOW_DEGREE
+    if contains_theta(reduced):
+        return REASON_THETA
+    return None
+
+
+def _reductions(g: Graph) -> Iterator[tuple[Edge, Graph]]:
+    """Each edge xy with K - x - y, in ascending edge order."""
+    for x, y in g.sorted_edges():
+        yield (x, y), delete_vertices(g, (x, y))[0]
+
+
 def condition1(g: Graph) -> bool:
     """Every K - x - y is theta-free with all degrees >= 2.
 
     Vacuously true for edgeless graphs; an empty K - x - y also passes
     (there is no vertex to violate the degree bound).
     """
-    for x, y in g.sorted_edges():
-        reduced = _end_deleted(g, x, y)
-        if any(len(nbrs) < 2 for nbrs in reduced.adj):
-            return False
-        if contains_theta(reduced):
-            return False
-    return True
+    return all(
+        _condition1_failure(reduced) is None for _, reduced in _reductions(g)
+    )
 
 
 def condition2(g: Graph) -> bool:
     """Every K - x - y is a cycle on >= 3 vertices; false if K is edgeless."""
     if not g.num_edges:
         return False
-    return all(_is_cycle(_end_deleted(g, x, y)) for x, y in g.sorted_edges())
+    return all(_is_cycle(reduced) for _, reduced in _reductions(g))
 
 
 def condition3(g: Graph) -> bool:
@@ -84,7 +91,7 @@ def deletion_lemma_predicates(g: Graph, x: int, y: int) -> tuple[bool, bool]:
     """
     if normalize_edge(x, y) not in g.edges:
         raise ValueError(f"({x}, {y}) is not an edge")
-    reduced = _end_deleted(g, x, y)
+    reduced, _ = delete_vertices(g, (x, y))
     deg_ok = reduced.n > 0 and all(len(nbrs) >= 2 for nbrs in reduced.adj)
     return deg_ok, not contains_theta(reduced)
 
@@ -94,16 +101,13 @@ def lemma_report(g: Graph) -> LemmaReport:
     witnesses: list[tuple[Edge, str]] = []
     c1 = True
     c2 = g.num_edges > 0
-    for x, y in g.sorted_edges():
-        reduced = _end_deleted(g, x, y)
-        if any(len(nbrs) < 2 for nbrs in reduced.adj):
-            witnesses.append(((x, y), REASON_LOW_DEGREE))
-            c1 = False
-        elif contains_theta(reduced):
-            witnesses.append(((x, y), REASON_THETA))
+    for edge, reduced in _reductions(g):
+        reason = _condition1_failure(reduced)
+        if reason is not None:
+            witnesses.append((edge, reason))
             c1 = False
         if not _is_cycle(reduced):
-            witnesses.append(((x, y), REASON_NOT_A_CYCLE))
+            witnesses.append((edge, REASON_NOT_A_CYCLE))
             c2 = False
     c3 = condition3(g)
     # the easy implication chain must never break at runtime

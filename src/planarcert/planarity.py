@@ -38,6 +38,7 @@ from .subdivision import (
     find_kuratowski,
     find_minor,
     minor_to_subdivision,
+    validate_subdivision,
 )
 
 
@@ -49,9 +50,11 @@ class DecisionPath(enum.Enum):
 @dataclass(frozen=True)
 class DecisionConfig:
     """`node_budget` bounds the left-right test's oriented edges over the
-    decision and the Kuratowski extraction together (and the embedding
-    oracle's cyclic orders); `path` picks the route that certifies a
-    non-planar answer.  The minor search is not bounded."""
+    decision and the Kuratowski extraction together; route_bits also
+    gives it to the backtracking embedding oracle, which spends one unit
+    per cyclic order tried.  `path` picks the route that certifies a
+    non-planar answer; both routes' certificates are validated before a
+    verdict carries them.  The minor search is not bounded."""
 
     node_budget: int = 10**9
     path: DecisionPath = DecisionPath.SUBDIVISION
@@ -74,7 +77,12 @@ class Verdict:
 
 def _minor_certificate(g: Graph) -> SubdivisionCertificate | None:
     minor = find_minor(g, Pattern.K5) or find_minor(g, Pattern.K33)
-    return None if minor is None else minor_to_subdivision(g, minor)
+    if minor is None:
+        return None
+    cert = minor_to_subdivision(g, minor)
+    if not validate_subdivision(g, cert):
+        raise InternalInconsistencyError("minor certificate does not validate")
+    return cert
 
 
 def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
@@ -109,11 +117,12 @@ def decide_via_minor(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdi
 
 class RouteBits(NamedTuple):
     """The planarity bit of each independent route on one graph.  The
-    left-right bit is None when that route cannot certify its answer."""
+    left-right and minor bits are None when their route cannot certify
+    its answer."""
 
     left_right: bool | None
     subdivision: bool
-    minor: bool
+    minor: bool | None
     embedding: bool
 
     @property
@@ -126,14 +135,21 @@ def route_bits(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> RouteBits:
     checked for genus 0, or a Kuratowski extraction that validates), the
     backtracking embedding search (its rotation checked for genus 0), the
     subdivision search, and the minor search with its conversion to a
-    subdivision certificate."""
+    subdivision certificate (which must validate)."""
     emb = find_planar_rotation(g, config.node_budget)
     return RouteBits(
         left_right=_left_right_bit(g, config.node_budget),
         subdivision=find_kuratowski(g) is None,
-        minor=_minor_certificate(g) is None,
+        minor=_minor_bit(g),
         embedding=emb is not None and genus(g, emb) == 0,
     )
+
+
+def _minor_bit(g: Graph) -> bool | None:
+    try:
+        return _minor_certificate(g) is None
+    except InternalInconsistencyError:
+        return None
 
 
 def _left_right_bit(g: Graph, node_budget: int) -> bool | None:

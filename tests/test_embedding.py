@@ -275,10 +275,30 @@ def test_oracle_handles_disconnected_graphs():
     assert find_planar_rotation(two_k5) is None
 
 
-def test_prefilter_can_be_disabled():
-    k6 = complete_graph(6)
-    assert find_planar_rotation(k6) is None
-    assert find_planar_rotation(k6, edge_bound_prefilter=False) is None
+def test_edge_count_bound_rejects_k6_without_search():
+    # 15 > 3V - 6 = 12 edges: rejected before a single cyclic order
+    assert find_planar_rotation(complete_graph(6), node_budget=1) is None
+
+
+def test_oracle_handles_long_paths():
+    # one search level per vertex, kept on an explicit stack
+    g = path_graph(1000)
+    assert genus(g, find_planar_rotation(g)) == 0
+    assert genus(g, find_covering_planar_rotation(g)) == 0
+
+
+def test_oracle_memory_is_linear_in_the_component():
+    import tracemalloc
+
+    matching = Graph(100, [(2 * i, 2 * i + 1) for i in range(50)])
+    tracemalloc.start()
+    try:
+        rho = find_planar_rotation(matching)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho is not None and genus(matching, rho) == 0
+    assert peak < 1 << 20
 
 
 def test_budget_exhaustion_raises():

@@ -188,6 +188,25 @@ def test_route_bits_flags_an_uncertified_left_right_answer(monkeypatch):
     assert bits.left_right is None and not bits.agree
 
 
+def test_decide_refuses_a_minor_certificate_that_does_not_validate(monkeypatch):
+    import planarcert.planarity as planarity
+
+    monkeypatch.setattr(planarity, "validate_subdivision", lambda g, cert: False)
+    with pytest.raises(InternalInconsistencyError):
+        decide_via_minor(complete_graph(5))
+    # a planar answer never reaches the minor route
+    assert decide_via_minor(complete_graph(4)).planar
+
+
+def test_route_bits_flags_an_uncertified_minor_answer(monkeypatch):
+    import planarcert.planarity as planarity
+
+    monkeypatch.setattr(planarity, "validate_subdivision", lambda g, cert: False)
+    bits = route_bits(complete_bipartite(3, 3))
+    assert bits.minor is None and not bits.agree
+    assert bits.left_right is False and bits.subdivision is False
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DecisionConfig(node_budget=0)
