@@ -12,13 +12,11 @@ from .graphs import (
     Edge,
     Graph,
     VertexMap,
-    are_homeomorphic,
     are_isomorphic,
     complete_bipartite,
     complete_graph,
     compose_vertex_maps,
     contract_edge,
-    cube_graph,
     cycle_graph,
     delete_edge,
     delete_vertex,
@@ -31,22 +29,17 @@ from .graphs import (
     petersen_graph,
     smooth,
     subdivide_edge,
-    theta_graph,
 )
 from .embedding import (
     Dart,
     FaceSet,
     RotationSystem,
     StepBudget,
-    enumerate_rotation_systems,
-    face_boundary,
-    face_covering_all_edges,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
     lr_kuratowski,
     lr_planar_rotation,
-    rotations_equivalent,
     trace_faces,
 )
 from .subdivision import (
@@ -67,7 +60,6 @@ from .lemmas import (
     condition1,
     condition2,
     condition3,
-    deletion_lemma_predicates,
     lemma_report,
 )
 from .planarity import (

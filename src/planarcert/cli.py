@@ -90,12 +90,16 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_harness(args: argparse.Namespace) -> int:
-    report = CAMPAIGNS[args.campaign](args.max_n, args.samples, args.seed)
-    if args.text:
-        print(report.render_text())
-    else:
-        sys.stdout.write(report.to_kv())
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    names = list(CAMPAIGNS) if args.campaign == "all" else [args.campaign]
+    passed = True
+    for name in names:
+        report = CAMPAIGNS[name](args.max_n, args.samples, args.seed)
+        if args.text:
+            print(report.render_text())
+        else:
+            sys.stdout.write(report.to_kv())
+        passed = passed and report.passed
+    return EXIT_OK if passed else EXIT_NEGATIVE
 
 
 @functools.cache
@@ -147,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemmas.set_defaults(func=_cmd_lemmas)
 
     harness = sub.add_parser("harness", help="run a verification campaign")
-    harness.add_argument("campaign", choices=list(CAMPAIGNS))
+    harness.add_argument("campaign", choices=[*CAMPAIGNS, "all"])
     harness.add_argument("--max-n", type=int, default=5)
     harness.add_argument("--samples", type=int, default=100)
     harness.add_argument("--seed", type=int, default=42)

@@ -200,7 +200,7 @@ def rotation_from_doc(doc: Any) -> RotationSystem:
         "each rotation entry must be a list of vertex ids",
     )
     try:
-        return RotationSystem(tuple(tuple(cyc) for cyc in doc))
+        return RotationSystem(doc)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 

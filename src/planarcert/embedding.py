@@ -34,10 +34,6 @@ from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 Dart = tuple[int, int]
 
 
-def reverse_dart(d: Dart) -> Dart:
-    return (d[1], d[0])
-
-
 class RotationSystem:
     """Per-vertex cyclic order of outgoing darts, stored by neighbor.
 

@@ -32,13 +32,15 @@ class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
     `adj` lists each vertex's neighbors in ascending order.  The edge set,
-    the per-vertex neighbor bitmasks (n bits each) and the hash are built
-    on first use: the certificate audit reads only `adj`, only the
-    small-graph searches read the masks, and building the masks for a
-    large graph costs O(n * m / 64).
+    the per-vertex neighbor bitmasks (n bits each), the components and
+    the hash are built on first use: the certificate audit reads only
+    `adj` and the components, only the small-graph searches read the
+    masks, and building the masks for a large graph costs O(n * m / 64).
     """
 
-    __slots__ = ("n", "num_edges", "adj", "_edges", "_adj_mask", "_hash")
+    __slots__ = (
+        "n", "num_edges", "adj", "_edges", "_adj_mask", "_components", "_hash"
+    )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         edge_set: set[Edge] = set()
@@ -67,7 +69,7 @@ class Graph:
         g.n = len(adj)
         g.num_edges = m
         g.adj = adj
-        g._edges = g._adj_mask = g._hash = None
+        g._edges = g._adj_mask = g._components = g._hash = None
         return g
 
     def _build(self, n: int, edges: frozenset[Edge]) -> None:
@@ -84,6 +86,7 @@ class Graph:
         self.adj = tuple(map(tuple, adj))
         self._edges: frozenset[Edge] | None = edges
         self._adj_mask: tuple[int, ...] | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
 
     @property
@@ -123,6 +126,8 @@ class Graph:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum."""
+        if self._components is not None:
+            return self._components
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -139,7 +144,8 @@ class Graph:
                         seen[w] = True
                         stack.append(w)
             comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        self._components = tuple(comps)
+        return self._components
 
     def component_count(self) -> int:
         return len(self.components())

@@ -193,25 +193,31 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _route_agreement(
-    campaign: str, graphs: Iterable[tuple[int, int]], config: DecisionConfig
+# What a judged graph adds to the planar and non-planar counts, and whether
+# it passed; None skips the graph.
+Judgement = tuple[int, int, bool] | None
+
+
+def _campaign(
+    name: str, graphs: Iterable[Graph], judge: Callable[[Graph], Judgement]
 ) -> CampaignReport:
-    """Confront the four routes on every (n, edge mask) graph; the
-    subdivision route supplies the planar count."""
+    """Judge every graph of the stream; a failed graph is recorded as
+    (n, edge mask)."""
     t0 = time.perf_counter()
     examined = planar = nonplanar = 0
     mismatches = []
-    for n, mask in graphs:
-        bits = route_bits(from_edge_mask(n, mask), config)
+    for g in graphs:
+        judgement = judge(g)
+        if judgement is None:
+            continue
+        p, q, passed = judgement
         examined += 1
-        if bits.subdivision:
-            planar += 1
-        else:
-            nonplanar += 1
-        if not bits.agree:
-            mismatches.append((n, mask))
+        planar += p
+        nonplanar += q
+        if not passed:
+            mismatches.append((g.n, g.edge_mask()))
     return CampaignReport(
-        campaign,
+        name,
         examined,
         planar,
         nonplanar,
@@ -220,23 +226,40 @@ def _route_agreement(
     )
 
 
+def _labeled_graphs(max_n: int) -> Iterator[Graph]:
+    """Every labeled graph with 1..max_n vertices, by vertex count and then
+    edge mask."""
+    if max_n > MAX_EXHAUSTIVE_N:
+        raise CapacityError(
+            f"labeled exhaustive mode supports max_n <= {MAX_EXHAUSTIVE_N}"
+        )
+    return (
+        from_edge_mask(n, mask)
+        for n in range(1, max_n + 1)
+        for mask in range(1 << (n * (n - 1) // 2))
+    )
+
+
+def _route_agreement(
+    name: str, graphs: Iterable[Graph], config: DecisionConfig
+) -> CampaignReport:
+    """Confront the four routes on every graph; the subdivision route
+    supplies the planar count."""
+
+    def judge(g: Graph) -> Judgement:
+        bits = route_bits(g, config)
+        return (1, 0, bits.agree) if bits.subdivision else (0, 1, bits.agree)
+
+    return _campaign(name, graphs, judge)
+
+
 def verify_kuratowski(
     max_n: int, config: DecisionConfig = DEFAULT_CONFIG
 ) -> CampaignReport:
     """The left-right test, subdivision route, minor route and raw
     embedding search must agree on every labeled graph with up to max_n
     vertices."""
-    if max_n > MAX_EXHAUSTIVE_N:
-        raise CapacityError(
-            f"labeled exhaustive mode supports max_n <= {MAX_EXHAUSTIVE_N}; "
-            "use verify_kuratowski_classes for n = 7"
-        )
-    graphs = (
-        (n, mask)
-        for n in range(1, max_n + 1)
-        for mask in range(1 << (n * (n - 1) // 2))
-    )
-    return _route_agreement("kuratowski", graphs, config)
+    return _route_agreement("kuratowski", _labeled_graphs(max_n), config)
 
 
 def verify_kuratowski_classes(
@@ -246,8 +269,28 @@ def verify_kuratowski_classes(
     class of n-vertex graphs."""
     if n > MAX_CLASS_N:
         raise CapacityError(f"class mode supports n <= {MAX_CLASS_N}")
-    graphs = ((n, mask) for mask in enumerate_graph_class_masks(n))
+    graphs = (from_edge_mask(n, mask) for mask in enumerate_graph_class_masks(n))
     return _route_agreement("kuratowski_classes", graphs, config)
+
+
+def _lemma_judgement(g: Graph) -> Judgement:
+    ok = True
+    characterized = 0
+    c2 = condition2(g)
+    c3 = condition3(g)
+    if c3 and not c2:
+        ok = False
+    if c2 and not condition1(g):
+        ok = False
+    if c2 and any(len(a) < 3 for a in g.adj):
+        ok = False  # a cycle remainder at every edge forces degree >= 3
+    if ok and g.num_edges and all(len(a) >= 3 for a in g.adj):
+        c1 = condition1(g)
+        if c1 != c3 or c2 != c3:
+            ok = False
+        if c3:
+            characterized = 1
+    return 0, characterized, ok
 
 
 def verify_lemma_characterization(max_n: int) -> CampaignReport:
@@ -256,71 +299,22 @@ def verify_lemma_characterization(max_n: int) -> CampaignReport:
     copies among graphs with an edge and minimum degree >= 3, and the
     implication chain condition3 => condition2 => condition1 must hold
     everywhere."""
-    if max_n > MAX_EXHAUSTIVE_N:
-        raise CapacityError(f"supports max_n <= {MAX_EXHAUSTIVE_N}")
-    t0 = time.perf_counter()
-    examined = characterized = 0
-    mismatches = []
-    for n in range(1, max_n + 1):
-        bits = n * (n - 1) // 2
-        for mask in range(1 << bits):
-            g = from_edge_mask(n, mask)
-            examined += 1
-            ok = True
-            c2 = condition2(g)
-            c3 = condition3(g)
-            if c3 and not c2:
-                ok = False
-            if c2 and not condition1(g):
-                ok = False
-            if c2 and any(len(a) < 3 for a in g.adj):
-                ok = False  # a cycle remainder at every edge forces degree >= 3
-            if ok and g.edges and all(len(a) >= 3 for a in g.adj):
-                c1 = condition1(g)
-                if c1 != c3 or c2 != c3:
-                    ok = False
-                if c3:
-                    characterized += 1
-            if not ok:
-                mismatches.append((n, mask))
-    return CampaignReport(
-        "lemma",
-        examined,
-        0,
-        characterized,
-        tuple(mismatches),
-        time.perf_counter() - t0,
-    )
+    return _campaign("lemma", _labeled_graphs(max_n), _lemma_judgement)
+
+
+def _chartrand_harary_judgement(g: Graph) -> Judgement:
+    if not g.is_connected():
+        return None
+    theta_free = not find_subdivision(g, Pattern.THETA)
+    covered = find_covering_planar_rotation(g) is not None
+    return int(covered), 0, theta_free == covered
 
 
 def verify_chartrand_harary(max_n: int) -> CampaignReport:
     """Over every connected labeled graph: theta-free iff some genus-0
     rotation has a single face covering every edge."""
-    if max_n > MAX_EXHAUSTIVE_N:
-        raise CapacityError(f"supports max_n <= {MAX_EXHAUSTIVE_N}")
-    t0 = time.perf_counter()
-    examined = realizable = 0
-    mismatches = []
-    for n in range(1, max_n + 1):
-        bits = n * (n - 1) // 2
-        for mask in range(1 << bits):
-            g = from_edge_mask(n, mask)
-            if not g.is_connected():
-                continue
-            examined += 1
-            theta_free = not find_subdivision(g, Pattern.THETA)
-            covered = find_covering_planar_rotation(g) is not None
-            if covered:
-                realizable += 1
-            if theta_free != covered:
-                mismatches.append((n, mask))
-    return CampaignReport(
-        "chartrand_harary",
-        examined,
-        realizable,
-        0,
-        tuple(mismatches),
-        time.perf_counter() - t0,
+    return _campaign(
+        "chartrand_harary", _labeled_graphs(max_n), _chartrand_harary_judgement
     )
 
 
@@ -333,31 +327,42 @@ def verify_menger_cubic(
     """On random connected cubic graphs, planarity must coincide with the
     absence of a K3,3 subdivision, and no K5 subdivision may ever fit
     (branch vertices would need degree 4)."""
-    t0 = time.perf_counter()
     rng = make_rng(seed)
-    examined = planar = nonplanar = 0
-    mismatches = []
-    for i in range(samples):
-        n = sizes[i % len(sizes)]
-        g = random_cubic_graph(n, rng)
+    graphs = (
+        random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)
+    )
+
+    def judge(g: Graph) -> Judgement:
         verdict = decide_via_minor(g, config)
         k33 = find_subdivision(g, Pattern.K33)
         k5 = find_subdivision(g, Pattern.K5)
-        examined += 1
-        if verdict.planar:
-            planar += 1
-        else:
-            nonplanar += 1
-        if verdict.planar != (k33 is None) or k5 is not None:
-            mismatches.append((n, g.edge_mask()))
-    return CampaignReport(
-        "menger_cubic",
-        examined,
-        planar,
-        nonplanar,
-        tuple(mismatches),
-        time.perf_counter() - t0,
-    )
+        ok = verdict.planar == (k33 is None) and k5 is None
+        return (1, 0, ok) if verdict.planar else (0, 1, ok)
+
+    return _campaign("menger_cubic", graphs, judge)
+
+
+def _lifting_judgement(g: Graph) -> Judgement:
+    planar_contractions = lifted_count = 0
+    ok = True
+    for x, y in g.sorted_edges():
+        contracted, _, _ = contract_edge(g, (x, y))
+        cert = find_kuratowski(contracted)
+        if cert is None:
+            planar_contractions += 1
+            continue
+        lifted_count += 1
+        lifted = lift_certificate(g, x, y, cert)
+        if not validate_subdivision(g, lifted):
+            ok = False
+        if cert.pattern is Pattern.K33 and lifted.pattern is not Pattern.K33:
+            ok = False
+        if cert.pattern is Pattern.K5 and lifted.pattern not in (
+            Pattern.K5,
+            Pattern.K33,
+        ):
+            ok = False
+    return planar_contractions, lifted_count, ok
 
 
 def verify_lifting(
@@ -370,48 +375,19 @@ def verify_lifting(
     G/xy must lift to a validating certificate in G under the pattern rule
     (K3,3 stays K3,3; K5 lifts to K5 or K3,3).  Planar contractions are
     skipped but counted."""
-    t0 = time.perf_counter()
     rng = make_rng(seed)
-    examined = planar_contractions = lifted_count = 0
-    mismatches = []
-    for i in range(samples):
-        n = rng.randint(4, max_n)
-        p = ps[i % len(ps)]
-        g = random_graph(n, p, rng)
-        examined += 1
-        bad = False
-        for x, y in g.sorted_edges():
-            contracted, _, _ = contract_edge(g, (x, y))
-            cert = find_kuratowski(contracted)
-            if cert is None:
-                planar_contractions += 1
-                continue
-            lifted_count += 1
-            lifted = lift_certificate(g, x, y, cert)
-            if not validate_subdivision(g, lifted):
-                bad = True
-            if cert.pattern is Pattern.K33 and lifted.pattern is not Pattern.K33:
-                bad = True
-            if cert.pattern is Pattern.K5 and lifted.pattern not in (
-                Pattern.K5,
-                Pattern.K33,
-            ):
-                bad = True
-        if bad:
-            mismatches.append((n, g.edge_mask()))
-    return CampaignReport(
-        "lifting",
-        examined,
-        planar_contractions,
-        lifted_count,
-        tuple(mismatches),
-        time.perf_counter() - t0,
+    # each sample draws its vertex count, then its edges
+    graphs = (
+        random_graph(rng.randint(4, max_n), ps[i % len(ps)], rng)
+        for i in range(samples)
     )
+    return _campaign("lifting", graphs, _lifting_judgement)
 
 
-# Every campaign by name.  A runner takes (max_n, samples, seed) and passes
-# on what its campaign uses; it looks the campaign up when called, so a
-# rebinding of the module's function is what runs.
+# Every campaign by name, in the order `harness all` runs them.  A runner
+# takes (max_n, samples, seed) and passes on what its campaign uses; it
+# looks the campaign up when called, so a rebinding of the module's
+# function is what runs.
 CAMPAIGNS: dict[str, Callable[[int, int, int], CampaignReport]] = {
     "kuratowski": lambda max_n, samples, seed: verify_kuratowski(max_n),
     "kuratowski-classes": lambda max_n, samples, seed: verify_kuratowski_classes(

@@ -153,15 +153,11 @@ def _minor_bit(g: Graph) -> bool | None:
 
 
 def _left_right_bit(g: Graph, node_budget: int) -> bool | None:
-    budget = StepBudget(node_budget)
-    rho = lr_planar_rotation(g, budget)
-    if rho is not None:
-        return True if genus(g, rho) == 0 else None
+    # a fresh config: the bit always comes from the default route
     try:
-        lr_kuratowski(g, budget)  # validates its certificate or raises
+        return decide(g, DecisionConfig(node_budget)).planar
     except InternalInconsistencyError:
         return None
-    return False
 
 
 def cross_check(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> bool:

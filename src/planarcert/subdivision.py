@@ -411,26 +411,34 @@ def _connected_sets(g: Graph, seed: int, allowed: int, max_size: int):
     """Bitmasks of connected sets containing seed, each exactly once.
 
     `allowed` already excludes vertices below the seed, so the seed is the
-    minimum of every emitted set.
+    minimum of every emitted set.  A set is grown by one candidate vertex
+    at a time, in ascending order; each candidate, once its branch is
+    done, is forbidden to the sets grown after it.  The growth runs on an
+    explicit stack, so the set size is not capped by the recursion limit.
     """
     adj_mask = g.adj_mask
-
-    def rec(s_mask: int, size: int, cand: int, forbidden: int):
-        yield s_mask
-        if size == max_size:
-            return
-        local_forb = forbidden
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            grow = (cand | (adj_mask[v] & allowed)) & ~s_mask & ~local_forb & ~(1 << v)
-            yield from rec(s_mask | (1 << v), size + 1, grow, local_forb)
-            local_forb |= 1 << v
+    s_mask = 1 << seed
+    yield s_mask
+    if max_size == 1:
         return
-
-    start_cand = adj_mask[seed] & allowed
-    yield from rec(1 << seed, 1, start_cand, 0)
+    cand = adj_mask[seed] & allowed
+    # each frame: [set, size, candidates, candidates not yet tried, forbidden]
+    stack = [[s_mask, 1, cand, cand, 0]]
+    while stack:
+        frame = stack[-1]
+        s_mask, size, cand, untried, forbidden = frame
+        if not untried:
+            stack.pop()
+            continue
+        bit = untried & -untried
+        frame[3] = untried & ~bit
+        frame[4] = forbidden | bit
+        grown = s_mask | bit
+        yield grown
+        if size + 1 != max_size:
+            v = bit.bit_length() - 1
+            grow = (cand | (adj_mask[v] & allowed)) & ~s_mask & ~forbidden & ~bit
+            stack.append([grown, size + 1, grow, grow, forbidden])
 
 
 def find_minor(g: Graph, pattern: Pattern) -> MinorCertificate | None:

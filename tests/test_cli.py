@@ -525,6 +525,36 @@ def test_harness_dispatches_through_the_campaign_registry(capsys, monkeypatch):
     assert out == real(3, 5).to_kv()
 
 
+def test_harness_all_prints_every_campaign_in_registry_order(capsys):
+    from planarcert import harness
+
+    argv = ["--max-n", "4", "--samples", "6"]
+    singles = []
+    for name in harness.CAMPAIGNS:
+        code, out, _ = run(capsys, ["harness", name, *argv])
+        assert code == 0
+        singles.append(out)
+    code, out, _ = run(capsys, ["harness", "all", *argv])
+    assert (code, out) == (0, "".join(singles))
+    code, out, _ = run(capsys, ["harness", "all", *argv, "--text"])
+    assert code == 0
+    assert [line[:7] for line in out.splitlines()] == ["[PASS] "] * 6
+
+
+def test_harness_all_fails_when_one_campaign_fails_and_runs_the_rest(
+    capsys, monkeypatch
+):
+    from planarcert import harness
+
+    failing = harness.CampaignReport("lemma", 1, 0, 0, ((3, 7),), 0.0)
+    monkeypatch.setitem(harness.CAMPAIGNS, "lemma", lambda *args: failing)
+    code, out, _ = run(capsys, ["harness", "all", "--max-n", "3", "--samples", "3"])
+    assert code == 1
+    assert out.count("campaign ") == 6
+    assert failing.to_kv() in out
+    assert out.count("passed true") == 5
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -497,11 +497,22 @@ def test_normalize_edge_helper():
 
 
 def test_darts_reverse_involution_and_count():
-    from planarcert.embedding import reverse_dart
-
     g = complete_bipartite(2, 3)
     darts = [(u, v) for u in range(g.n) for v in g.adj[u]]
     assert len(darts) == 2 * g.num_edges
-    for d in darts:
-        assert reverse_dart(reverse_dart(d)) == d
-        assert reverse_dart(d) in darts
+    for u, v in darts:
+        assert (v, u) in darts
+
+
+def test_components_are_found_once_and_trace_faces_reads_them():
+    # a triangle, an edge and an isolated vertex
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    comps = g.components()
+    assert comps == ((0, 1, 2), (3, 4), (5,))
+    assert g.components() is comps
+    rho = RotationSystem(g.adj)
+    assert trace_faces(g, rho).components == 3
+    # a stored stand-in with one more component is what trace_faces counts,
+    # so it starts no search of its own
+    g._components = comps + ((),)
+    assert trace_faces(g, rho).components == 4

@@ -155,3 +155,29 @@ def test_failing_report_lists_masks():
     assert not r.passed
     assert "mismatch 5 12" in r.to_kv()
     assert "passed false" in r.to_kv()
+
+
+def test_campaign_tallies_skips_and_records_failures():
+    from planarcert import harness
+
+    graphs = [from_edge_mask(3, mask) for mask in range(8)]
+
+    def judge(g):
+        if g.num_edges == 0:
+            return None  # skipped: not examined
+        return (1, 0, True) if g.num_edges < 3 else (0, 2, False)
+
+    r = harness._campaign("probe", graphs, judge)
+    assert (r.campaign, r.graphs_examined) == ("probe", 7)
+    assert (r.planar_count, r.nonplanar_count) == (6, 2)
+    assert r.mismatches == ((3, 7),) and not r.passed
+
+
+def test_labeled_campaigns_share_one_capacity_check():
+    for verify in (
+        verify_kuratowski,
+        verify_lemma_characterization,
+        verify_chartrand_harary,
+    ):
+        with pytest.raises(CapacityError, match="max_n <= 6"):
+            verify(7)

@@ -373,3 +373,42 @@ def test_subdivision_search_determinism():
     pet = petersen_graph()
     assert find_subdivision(pet, Pattern.K33) == find_subdivision(pet, Pattern.K33)
     assert find_minor(pet, Pattern.K5) == find_minor(pet, Pattern.K5)
+
+
+def _recursive_connected_sets(g, seed, allowed, max_size):
+    # the recursive growth _connected_sets replaced, kept as its reference
+    adj_mask = g.adj_mask
+
+    def rec(s_mask, size, cand, forbidden):
+        yield s_mask
+        if size == max_size:
+            return
+        local_forb = forbidden
+        c = cand
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            grow = (cand | (adj_mask[v] & allowed)) & ~s_mask & ~local_forb & ~(1 << v)
+            yield from rec(s_mask | (1 << v), size + 1, grow, local_forb)
+            local_forb |= 1 << v
+
+    yield from rec(1 << seed, 1, adj_mask[seed] & allowed, 0)
+
+
+def test_connected_sets_match_the_recursive_growth_in_order():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for seed in range(n):
+                allowed = ((1 << n) - 1) & ~((1 << (seed + 1)) - 1)
+                for max_size in {1, 2, n - seed}:
+                    got = list(subdivision._connected_sets(g, seed, allowed, max_size))
+                    want = list(_recursive_connected_sets(g, seed, allowed, max_size))
+                    assert got == want
+
+
+def test_connected_sets_grow_past_the_recursion_limit():
+    # the recursive growth raised RecursionError after about 1,000 sets
+    n = 1500
+    allowed = ((1 << n) - 1) & ~1
+    sets = subdivision._connected_sets(path_graph(n), 0, allowed, n)
+    assert sum(1 for _ in sets) == n

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import planarcert
@@ -19,3 +20,25 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_every_traced_function_resolves():
+    # perfbench's tracer patches these names by lookup, so a rename in the
+    # package would break per-layer tracing; the file is read, not imported
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    ]
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in traced
+        if not callable(
+            getattr(importlib.import_module(f"planarcert.{module}"), name, None)
+        )
+    ]
+    assert missing == []
