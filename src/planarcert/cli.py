@@ -2,7 +2,9 @@
 
 Exit codes: 0 planar / certificate valid / campaign passed; 1 non-planar /
 certificate invalid / campaign failed; 2 input error; 3 resource or
-internal error.  Graph arguments are edge-list files, ``-`` for stdin.
+internal error, or a standard output closed before everything was written
+(left without a traceback).  Graph arguments are edge-list files, ``-``
+for stdin.
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .documents import (
     DocumentError,
+    lemma_report_to_doc,
     parse_edge_list,
+    to_json,
     verdict_doc_is_valid,
     verdict_to_doc,
 )
@@ -63,7 +68,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.validate and not verdict_doc_is_valid(g, doc):
         print("error: emitted verdict failed re-validation", file=sys.stderr)
         return EXIT_RESOURCE
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(to_json(doc))
     return EXIT_OK if verdict.planar else EXIT_NEGATIVE
 
 
@@ -75,17 +80,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    report = lemma_report(g)
-    doc = {
-        "condition1": report.condition1,
-        "condition2": report.condition2,
-        "condition3": report.condition3,
-        "witnesses": [
-            {"edge": list(edge), "reason": reason}
-            for edge, reason in report.witnesses
-        ],
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(to_json(lemma_report_to_doc(lemma_report(g))))
     return EXIT_OK
 
 
@@ -131,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=10**9,
-        help="edge steps allowed to the left-right test and the Kuratowski "
-        "extraction together (exit 3 when spent); the minor search is not "
-        "bounded",
+        help="steps allowed to one decision (exit 3 when spent): an edge "
+        "oriented by the left-right test, in the decision and in the "
+        "Kuratowski extraction, or a connected set tried by the minor search",
     )
     check.set_defaults(func=_cmd_check)
 
@@ -185,7 +180,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`planarcert check big.txt | head -1`):
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_RESOURCE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,16 +12,22 @@ vertex's neighbor cycle and faces are vertex walks.  Non-planar:
 ``{"status": "nonplanar", "certificate": {"pattern": "K5"|"K33",
 "branch": [...], "paths": [[...], ...]}}`` with paths listed in the
 pattern's edge order.
+
+Documents are printed as json.dumps(doc, indent=2, sort_keys=True) gives
+them: one value per line, indented by two spaces, keys sorted.  to_json
+writes that text without json's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Any, Iterator
 
 from .embedding import RotationSystem, trace_faces
 from .errors import InternalInconsistencyError
 from .graphs import Graph
+from .lemmas import LemmaReport
 from .planarity import Verdict
 from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 
@@ -187,6 +193,18 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
     }
 
 
+def lemma_report_to_doc(report: LemmaReport) -> dict[str, Any]:
+    return {
+        "condition1": report.condition1,
+        "condition2": report.condition2,
+        "condition3": report.condition3,
+        "witnesses": [
+            {"edge": list(edge), "reason": reason}
+            for edge, reason in report.witnesses
+        ],
+    }
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DocumentError(message)
@@ -264,3 +282,62 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
         cert = certificate_from_doc(doc.get("certificate"))
         return validate_subdivision(g, cert)
     raise DocumentError(f"unknown verdict status {status!r}")
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+# ---------------------------------------------------------------------------
+
+
+_INT = {int}
+_LIST = {list}
+
+
+def to_json(doc: Any) -> str:
+    """Exactly json.dumps(doc, indent=2, sort_keys=True).
+
+    json drops its C encoder whenever indent is set; here lists of ints,
+    and lists of such lists, are joined directly, and json.dumps writes
+    only keys and other scalars."""
+    parts: list[str] = []
+    _write_json(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(obj: Any, nl: str, out: list[str]) -> None:
+    """Append obj's text to out; nl is a newline plus obj's indentation."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                key = json.dumps(key)  # json's name for a scalar key
+            out.append(sep + json.dumps(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == _INT:
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + nl + "]")
+        elif kinds == _LIST and set(map(type, itertools.chain.from_iterable(obj))) <= _INT:
+            deeper = inner + "  "
+            sep, head, tail = "," + deeper, "[" + deeper, inner + "]"
+            rows = [head + sep.join(map(str, row)) + tail if row else "[]" for row in obj]
+            out.append("[" + inner + ("," + inner).join(rows) + nl + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _write_json(value, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(json.dumps(obj))

@@ -253,6 +253,15 @@ class StepBudget:
         if self.remaining < 0:
             raise SearchBudgetExceeded("search budget exhausted")
 
+    def spend(self, steps: int) -> None:
+        """Charge `steps` steps at once: what as many ticks would charge,
+        raising iff the last of them would."""
+        if self.remaining is None:
+            return
+        self.remaining -= steps
+        if self.remaining < 0:
+            raise SearchBudgetExceeded("search budget exhausted")
+
 
 def _step_budget(node_budget: int | StepBudget | None) -> StepBudget:
     if isinstance(node_budget, StepBudget):
@@ -472,10 +481,15 @@ def lr_planar_rotation(
     rotation on its side.  Each phase runs on explicit stacks, so depth
     is bounded by memory, not by the interpreter's recursion limit.
 
+    Per-edge state lives in flat lists indexed by edge id, and the
+    rotation is built on darts: dart 2e is edge e at its source, dart
+    2e + 1 is e at its destination.
+
     Costs O(n + m) plus sorting each vertex's out-edges by nesting depth.
     Graphs with n >= 3 and m > 3n - 6 are rejected before any work.
     `node_budget` bounds the oriented edges, and may be a StepBudget
-    shared with other calls; exceeding it raises SearchBudgetExceeded.
+    shared with other calls: all m are charged before the DFS starts, and
+    a budget with fewer left raises SearchBudgetExceeded.
     The result is not self-certifying: callers confirm genus 0 with
     trace_faces.
     """
@@ -486,6 +500,8 @@ def lr_planar_rotation(
     budget = _step_budget(node_budget)
 
     # -- phase 1: DFS orientation; edge ids in orientation order ----------
+    # every edge is oriented exactly once, as a tree edge or a back edge
+    budget.spend(m)
     height = [-1] * n
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -498,34 +514,6 @@ def lr_planar_rotation(
     roots = []
     nxt = [0] * n
 
-    def orient(v: int, w: int, low: int) -> int:
-        budget.tick()
-        e = len(src)
-        src.append(v)
-        dst.append(w)
-        lowpt.append(low)
-        lowpt2.append(height[v])
-        nesting.append(0)
-        out[v].append(e)
-        return e
-
-    def close(e: int) -> None:
-        """e's subtree is done: fix its nesting depth and fold its
-        lowpoints into the parent edge of its source."""
-        v = src[e]
-        low, low2 = lowpt[e], lowpt2[e]
-        nesting[e] = 2 * low + (low2 < height[v])  # +1: e is chordal
-        p = parent_edge[v]
-        if p < 0:
-            return
-        if low < lowpt[p]:
-            lowpt2[p] = min(lowpt[p], low2)
-            lowpt[p] = low
-        elif low > lowpt[p]:
-            lowpt2[p] = min(lowpt2[p], low)
-        else:
-            lowpt2[p] = min(lowpt2[p], low2)
-
     for r in range(n):
         if height[r] >= 0:
             continue
@@ -535,20 +523,56 @@ def lr_planar_rotation(
         while stack:
             v = stack[-1]
             i = nxt[v]
-            if i == len(adj[v]):
+            nbrs = adj[v]
+            hv = height[v]
+            if i == len(nbrs):
+                # v's subtree is done: fix the nesting depth of its parent
+                # edge e and fold e's lowpoints into the edge above
                 stack.pop()
-                if parent_edge[v] >= 0:
-                    close(parent_edge[v])
+                e = parent_edge[v]
+                if e < 0:
+                    continue
+                u = parent[v]
+                low, low2 = lowpt[e], lowpt2[e]
+                nesting[e] = 2 * low + (low2 < height[u])  # +1: e is chordal
+            else:
+                nxt[v] = i + 1
+                w = nbrs[i]
+                hw = height[w]
+                if hw < 0:  # tree edge
+                    parent_edge[w] = len(src)
+                    out[v].append(len(src))
+                    src.append(v)
+                    dst.append(w)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    parent[w] = v
+                    height[w] = hv + 1
+                    stack.append(w)
+                    continue
+                if hw >= hv or w == parent[v]:
+                    continue
+                # back edge: its lowpoints are final at once
+                out[v].append(len(src))
+                src.append(v)
+                dst.append(w)
+                lowpt.append(hw)
+                lowpt2.append(hv)
+                nesting.append(2 * hw)
+                u, low, low2 = v, hw, hv
+            p = parent_edge[u]
+            if p < 0:
                 continue
-            nxt[v] = i + 1
-            w = adj[v][i]
-            if height[w] < 0:  # tree edge
-                parent_edge[w] = orient(v, w, height[v])
-                parent[w] = v
-                height[w] = height[v] + 1
-                stack.append(w)
-            elif height[w] < height[v] and w != parent[v]:  # back edge
-                close(orient(v, w, height[w]))
+            lp = lowpt[p]
+            if low < lp:
+                lowpt2[p] = lp if lp < low2 else low2
+                lowpt[p] = low
+            elif low > lp:
+                if low < lowpt2[p]:
+                    lowpt2[p] = low
+            elif low2 < lowpt2[p]:
+                lowpt2[p] = low2
 
     key = nesting.__getitem__
     for edges in out:
@@ -697,20 +721,19 @@ def lr_planar_rotation(
         edges.sort(key=key)
 
     # -- phase 4: embedding ------------------------------------------------
-    # circular doubly linked neighbor lists, seeded with the out-edges
-    cw: list[dict[int, int]] = [{} for _ in range(n)]
-    ccw: list[dict[int, int]] = [{} for _ in range(n)]
-    for v in range(n):
-        ring = [dst[e] for e in out[v]]
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            cw[v][a] = b
-            ccw[v][b] = a
-
-    def insert(v: int, x: int, after: int) -> None:
-        """Put x right after `after` in v's clockwise order."""
-        c, a = cw[v], ccw[v]
-        b = c[after]
-        c[after], a[x], c[x], a[b] = x, after, b, x
+    # circular doubly linked rings of darts: dart 2e is edge e at its
+    # source, dart 2e + 1 is e at its destination; each ring is seeded
+    # with its vertex's out-edges, and left_ref/right_ref hold darts
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    for edges in out:
+        if edges:
+            ring = [2 * e for e in edges]
+            last = ring[-1]
+            for d in ring:
+                cw[last] = d
+                ccw[d] = last
+                last = d
 
     left_ref = [-1] * n
     right_ref = [-1] * n
@@ -726,32 +749,45 @@ def lr_planar_rotation(
             nxt[v] = i + 1
             ei = out[v][i]
             w = dst[ei]
+            x = 2 * ei + 1
             if ei == parent_edge[w]:  # v goes first in w's order
-                if out[w]:
-                    insert(w, v, ccw[w][dst[out[w][0]]])
-                else:
-                    cw[w][v] = ccw[w][v] = v
-                left_ref[v] = right_ref[v] = w
+                left_ref[v] = right_ref[v] = 2 * ei
                 stack.append(w)
+                if not out[w]:
+                    cw[x] = ccw[x] = x
+                    continue
+                after = ccw[2 * out[w][0]]
             elif side[ei] == 1:  # right after the tree edge into w's subtree
-                insert(w, v, right_ref[w])
+                after = right_ref[w]
             else:  # left: before the earlier left back edges
-                insert(w, v, ccw[w][left_ref[w]])
-                left_ref[w] = v
+                after = ccw[left_ref[w]]
+                left_ref[w] = x
+            # put x right after `after` in w's clockwise order
+            b = cw[after]
+            cw[after] = x
+            ccw[x] = after
+            cw[x] = b
+            ccw[b] = x
 
-    orders: list[tuple[int, ...]] = []
+    # the far end of each dart
+    head = [0] * (2 * m)
+    head[::2] = dst
+    head[1::2] = src
+    orders: list[list[int]] = []
     for v in range(n):
-        ring = cw[v]
-        if not ring:
-            orders.append(())
+        if out[v]:
+            start = 2 * out[v][0]
+        elif parent_edge[v] >= 0:
+            start = 2 * parent_edge[v] + 1
+        else:
+            orders.append([])
             continue
-        start = adj[v][0]
-        cyc = [start]
-        w = ring[start]
-        while w != start:
-            cyc.append(w)
-            w = ring[w]
-        orders.append(tuple(cyc))
+        cyc = [head[start]]
+        d = cw[start]
+        while d != start:
+            cyc.append(head[d])
+            d = cw[d]
+        orders.append(cyc)
     return RotationSystem(orders)
 
 

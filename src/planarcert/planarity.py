@@ -49,12 +49,14 @@ class DecisionPath(enum.Enum):
 
 @dataclass(frozen=True)
 class DecisionConfig:
-    """`node_budget` bounds the left-right test's oriented edges over the
-    decision and the Kuratowski extraction together; route_bits also
-    gives it to the backtracking embedding oracle, which spends one unit
-    per cyclic order tried.  `path` picks the route that certifies a
-    non-planar answer; both routes' certificates are validated before a
-    verdict carries them.  The minor search is not bounded."""
+    """`node_budget` bounds one decision: the left-right test's oriented
+    edges, then the certifying route's steps (the Kuratowski extraction's
+    oriented edges, or one per connected set the minor search tries),
+    all drawn from one budget.  route_bits also gives it to the
+    backtracking embedding oracle, which spends one unit per cyclic order
+    tried; its minor bit stays unbounded.  `path` picks the route that
+    certifies a non-planar answer; both routes' certificates are
+    validated before a verdict carries them."""
 
     node_budget: int = 10**9
     path: DecisionPath = DecisionPath.SUBDIVISION
@@ -75,8 +77,10 @@ class Verdict:
     certificate: SubdivisionCertificate | None = None
 
 
-def _minor_certificate(g: Graph) -> SubdivisionCertificate | None:
-    minor = find_minor(g, Pattern.K5) or find_minor(g, Pattern.K33)
+def _minor_certificate(
+    g: Graph, budget: StepBudget | None = None
+) -> SubdivisionCertificate | None:
+    minor = find_minor(g, Pattern.K5, budget) or find_minor(g, Pattern.K33, budget)
     if minor is None:
         return None
     cert = minor_to_subdivision(g, minor)
@@ -100,7 +104,7 @@ def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
             )
         return Verdict(planar=True, rotation=rho, faces=faces)
     if config.path is DecisionPath.MINOR:
-        cert = _minor_certificate(g)
+        cert = _minor_certificate(g, budget)
     else:
         cert = lr_kuratowski(g, budget)
     if cert is None:

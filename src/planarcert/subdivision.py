@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InternalInconsistencyError
 from .graphs import (
@@ -31,6 +32,9 @@ from .graphs import (
     contract_edge,
     normalize_edge,
 )
+
+if TYPE_CHECKING:  # embedding imports this module
+    from .embedding import StepBudget
 
 
 class Pattern(enum.Enum):
@@ -441,10 +445,15 @@ def _connected_sets(g: Graph, seed: int, allowed: int, max_size: int):
             stack.append([grown, size + 1, grow, grow, forbidden])
 
 
-def find_minor(g: Graph, pattern: Pattern) -> MinorCertificate | None:
+def find_minor(
+    g: Graph, pattern: Pattern, budget: StepBudget | None = None
+) -> MinorCertificate | None:
     """Backtracking branch-set growth: seeds ascending, sets grown through
     adjacent unused vertices, adjacency constraints checked as parts are
     placed.
+
+    Each connected set tried costs `budget` one step; exceeding it raises
+    SearchBudgetExceeded.  Without a budget the search is unbounded.
     """
     bc = pattern.branch_count
     if g.n < bc or g.num_edges < len(pattern.edge_list):
@@ -503,6 +512,8 @@ def find_minor(g: Graph, pattern: Pattern) -> MinorCertificate | None:
                 continue
             allowed = free & ~((1 << seed) - 1) & ~(1 << seed)
             for s_mask in _connected_sets(g, seed, allowed, max_size):
+                if budget is not None:
+                    budget.tick()
                 if not boundary_ok(s_mask, pat_deg[p]):
                     continue
                 ok = True

@@ -2,8 +2,11 @@ import copy
 import dataclasses
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +22,10 @@ from planarcert.documents import (
     verdict_to_doc,
 )
 from planarcert.embedding import lr_planar_rotation
+from planarcert.lemmas import lemma_report
 from planarcert.graphs import (
     Graph,
+    complete_bipartite,
     complete_graph,
     cube_graph,
     path_graph,
@@ -367,6 +372,31 @@ def test_check_5x5_grid_within_budget_exits_0(capsys, write):
     assert code == 0
 
 
+def planted_k33(per_edge: int) -> Graph:
+    """K3,3 with every edge subdivided per_edge times, labels shuffled."""
+    edges, nxt = [], 6
+    for a, b in complete_bipartite(3, 3).sorted_edges():
+        path = [a, *range(nxt, nxt + per_edge), b]
+        nxt += per_edge
+        edges += zip(path, path[1:])
+    perm = list(range(nxt))
+    random.Random(0).shuffle(perm)
+    return Graph(nxt, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_check_budget_bounds_the_minor_search(capsys, write):
+    # the minor search spends one step per connected set it tries; on a
+    # 2,004-vertex subdivided K3,3 it would run for hours unbounded, and
+    # 100,000 sets take a few seconds
+    g = planted_k33(222)
+    assert g.n == 2004
+    path = write("k33-2004.edges", format_edge_list(g))
+    code, out, err = run(capsys, ["check", "--via", "minor", "--budget", "100000", path])
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_check_budget_bounds_kuratowski_extraction(capsys, write):
     # 1,743 edges: the decision alone fits in 5,000 steps, so the budget
     # runs out in the extraction's tests, which draw on what is left
@@ -561,3 +591,74 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(format_edge_list(complete_graph(4))))
     code, out, _ = run(capsys, ["check", "-"])
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# printed JSON
+# ---------------------------------------------------------------------------
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, expected_code",
+    [("k4", 0), ("grid3x3-isolated", 0), ("k5", 1), ("subdivided-k33", 1)],
+)
+def test_check_prints_the_golden_bytes(capsys, name, expected_code):
+    code, out, err = run(capsys, ["check", str(GOLDEN / f"{name}.txt")])
+    assert (code, err) == (expected_code, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_golden_grid_has_an_empty_cycle_and_an_empty_walk():
+    doc = json.loads((GOLDEN / "grid3x3-isolated.json").read_text())
+    assert doc["rotation"][9] == [] and doc["faces"][-1] == []
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner)
+        | st.dictionaries(st.text(), inner)
+        | st.lists(st.lists(st.integers() | st.booleans(), max_size=4))
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example([[], [1, 2], []])
+@example({"a": [True, 1], "b": [[1], [False]], "c": {}})
+def test_to_json_matches_json_dumps(value):
+    assert documents.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8))
+def test_to_json_matches_json_dumps_on_verdicts_and_lemma_reports(g):
+    for doc in (
+        verdict_to_doc(g, decide(g)),
+        documents.lemma_report_to_doc(lemma_report(g)),
+    ):
+        assert documents.to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_closed_stdout_pipe_exits_3_without_a_traceback(write):
+    # about 400 KB of output, far more than a pipe buffers: the write
+    # fails once the reader has closed its end
+    path = write("grid.edges", format_edge_list(grid_graph(60, 60)))
+    src = pathlib.Path(documents.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from planarcert.cli import entry; entry()", "check", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == b""

@@ -316,6 +316,18 @@ def test_budget_exhaustion_raises():
         lr_planar_rotation(cube_graph(), shared)
 
 
+@pytest.mark.parametrize(
+    "g", [grid_graph(6, 7), path_graph(50), cube_graph()], ids=["grid", "path", "cube"]
+)
+def test_lr_spends_exactly_one_step_per_edge(g):
+    m = g.num_edges
+    budget = StepBudget(m)
+    assert lr_planar_rotation(g, budget) is not None
+    assert budget.remaining == 0
+    with pytest.raises(SearchBudgetExceeded):
+        lr_planar_rotation(g, StepBudget(m - 1))
+
+
 def test_lr_examples():
     for g in (complete_graph(4), cube_graph(), path_graph(1), Graph(3), theta_graph()):
         rho = lr_planar_rotation(g)

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planarcert.subdivision as subdivision
-from planarcert.errors import InternalInconsistencyError
+from planarcert.embedding import StepBudget
+from planarcert.errors import InternalInconsistencyError, SearchBudgetExceeded
 from planarcert.graphs import (
     Graph,
     complete_bipartite,
@@ -154,6 +155,20 @@ def test_find_minor_examples():
     assert m is not None and all(len(s) == 1 for s in m.branch_sets)
     m33 = find_minor(complete_bipartite(3, 3), Pattern.K33)
     assert m33 is not None and all(len(s) == 1 for s in m33.branch_sets)
+
+
+def test_find_minor_spends_one_step_per_connected_set():
+    pet = petersen_graph()
+    budget = StepBudget(10**9)
+    found = find_minor(pet, Pattern.K5, budget)
+    spent = 10**9 - budget.remaining
+    assert spent > 0
+    # the same search again, on exactly the sets it tries
+    exact = StepBudget(spent)
+    assert find_minor(pet, Pattern.K5, exact) == found
+    assert exact.remaining == 0
+    with pytest.raises(SearchBudgetExceeded):
+        find_minor(pet, Pattern.K5, StepBudget(spent - 1))
 
 
 def test_find_minor_theta():
