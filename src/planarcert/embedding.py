@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -512,32 +513,19 @@ def lr_planar_rotation(
     nesting: list[int] = []
     out: list[list[int]] = [[] for _ in range(n)]
     roots = []
-    nxt = [0] * n
 
     for r in range(n):
         if height[r] >= 0:
             continue
         height[r] = 0
         roots.append(r)
-        stack = [r]
+        stack = [(r, iter(adj[r]))]
         while stack:
-            v = stack[-1]
-            i = nxt[v]
-            nbrs = adj[v]
+            v, todo = stack[-1]
             hv = height[v]
-            if i == len(nbrs):
-                # v's subtree is done: fix the nesting depth of its parent
-                # edge e and fold e's lowpoints into the edge above
-                stack.pop()
-                e = parent_edge[v]
-                if e < 0:
-                    continue
-                u = parent[v]
-                low, low2 = lowpt[e], lowpt2[e]
-                nesting[e] = 2 * low + (low2 < height[u])  # +1: e is chordal
-            else:
-                nxt[v] = i + 1
-                w = nbrs[i]
+            p = parent_edge[v]
+            u = parent[v]
+            for w in todo:
                 hw = height[w]
                 if hw < 0:  # tree edge
                     parent_edge[w] = len(src)
@@ -549,34 +537,48 @@ def lr_planar_rotation(
                     nesting.append(0)
                     parent[w] = v
                     height[w] = hv + 1
-                    stack.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if hw < hv and w != u:  # back edge, to an ancestor of u
+                    out[v].append(len(src))
+                    src.append(v)
+                    dst.append(w)
+                    lowpt.append(hw)
+                    lowpt2.append(hv)
+                    nesting.append(2 * hw)
+                    # fold it into the lowpoints of v's parent edge p,
+                    # which are both at most height[u] < hv already
+                    lp = lowpt[p]
+                    if hw < lp:
+                        lowpt2[p] = lp
+                        lowpt[p] = hw
+                    elif lp < hw < lowpt2[p]:
+                        lowpt2[p] = hw
+            else:
+                # v's subtree is done: fix the nesting depth of p and fold
+                # its lowpoints into the parent edge q of u
+                stack.pop()
+                if p < 0:
                     continue
-                if hw >= hv or w == parent[v]:
+                low, low2 = lowpt[p], lowpt2[p]
+                nesting[p] = 2 * low + (low2 < height[u])  # +1: p is chordal
+                q = parent_edge[u]
+                if q < 0:
                     continue
-                # back edge: its lowpoints are final at once
-                out[v].append(len(src))
-                src.append(v)
-                dst.append(w)
-                lowpt.append(hw)
-                lowpt2.append(hv)
-                nesting.append(2 * hw)
-                u, low, low2 = v, hw, hv
-            p = parent_edge[u]
-            if p < 0:
-                continue
-            lp = lowpt[p]
-            if low < lp:
-                lowpt2[p] = lp if lp < low2 else low2
-                lowpt[p] = low
-            elif low > lp:
-                if low < lowpt2[p]:
-                    lowpt2[p] = low
-            elif low2 < lowpt2[p]:
-                lowpt2[p] = low2
+                lq = lowpt[q]
+                if low < lq:
+                    lowpt2[q] = lq if lq < low2 else low2
+                    lowpt[q] = low
+                elif low > lq:
+                    if low < lowpt2[q]:
+                        lowpt2[q] = low
+                elif low2 < lowpt2[q]:
+                    lowpt2[q] = low2
 
     key = nesting.__getitem__
     for edges in out:
-        edges.sort(key=key)
+        if len(edges) > 1:
+            edges.sort(key=key)
 
     # -- phase 2: testing --------------------------------------------------
     # A conflict pair is [left low, left high, right low, right high]: two
@@ -707,6 +709,8 @@ def lr_planar_rotation(
 
     # -- phase 3: absolute sides -------------------------------------------
     for e in range(m):
+        if ref[e] < 0:
+            continue
         chain = []
         while ref[e] >= 0:
             chain.append(e)
@@ -715,10 +719,10 @@ def lr_planar_rotation(
         for c in reversed(chain):
             s = side[c] = side[c] * s
             ref[c] = -1
-    for e in range(m):
-        nesting[e] *= side[e]
+    nesting[:] = map(operator.mul, nesting, side)
     for edges in out:
-        edges.sort(key=key)
+        if len(edges) > 1:
+            edges.sort(key=key)
 
     # -- phase 4: embedding ------------------------------------------------
     # circular doubly linked rings of darts: dart 2e is edge e at its
@@ -728,9 +732,9 @@ def lr_planar_rotation(
     ccw = [0] * (2 * m)
     for edges in out:
         if edges:
-            ring = [2 * e for e in edges]
-            last = ring[-1]
-            for d in ring:
+            last = 2 * edges[-1]
+            for e in edges:
+                d = 2 * e
                 cw[last] = d
                 ccw[d] = last
                 last = d
