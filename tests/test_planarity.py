@@ -109,8 +109,6 @@ def test_budget_error_is_distinct_from_verdict():
 
 def test_one_budget_bounds_the_test_and_the_minor_search():
     pet = petersen_graph()
-    minor = DecisionConfig(path=DecisionPath.MINOR)
-    assert not decide(pet, minor).planar
     # 15 oriented edges, then the 10 connected sets that place a K5 minor
     assert not decide(pet, DecisionConfig(25, DecisionPath.MINOR)).planar
     with pytest.raises(SearchBudgetExceeded):
