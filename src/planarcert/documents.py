@@ -24,7 +24,7 @@ import itertools
 import json
 from typing import Any, Iterator
 
-from .embedding import RotationSystem, trace_faces
+from .embedding import euler_genus, face_walks
 from .errors import InternalInconsistencyError
 from .graphs import Graph
 from .lemmas import LemmaReport
@@ -210,19 +210,6 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentError(message)
 
 
-def rotation_from_doc(doc: Any) -> RotationSystem:
-    _require(isinstance(doc, list), "rotation must be a list of neighbor cycles")
-    _require(
-        all(isinstance(cyc, list) for cyc in doc)
-        and set(map(type, itertools.chain.from_iterable(doc))) <= {int},
-        "each rotation entry must be a list of vertex ids",
-    )
-    try:
-        return RotationSystem(doc)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
-
-
 def certificate_from_doc(doc: Any) -> SubdivisionCertificate:
     _require(isinstance(doc, dict), "certificate must be an object")
     pattern_name = doc.get("pattern")
@@ -258,24 +245,37 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
     _require(isinstance(doc, dict), "verdict must be an object")
     status = doc.get("status")
     if status == "planar":
-        rho = rotation_from_doc(doc.get("rotation"))
+        rotation = doc.get("rotation")
+        _require(
+            isinstance(rotation, list), "rotation must be a list of neighbor cycles"
+        )
+        _require(
+            all(isinstance(cyc, list) for cyc in rotation)
+            and set(map(type, itertools.chain.from_iterable(rotation))) <= {int},
+            "each rotation entry must be a list of vertex ids",
+        )
         try:
-            faces = trace_faces(g, rho)  # checks rho against g first
+            walks = face_walks(g, rotation)
         except ValueError:
+            # a cycle that repeats a neighbor is malformed whatever the graph
+            _require(
+                all(len(set(cyc)) == len(cyc) for cyc in rotation),
+                "repeated neighbor in a rotation",
+            )
             return False
-        if faces.genus != 0:
+        components, genus = euler_genus(g, len(walks))
+        if genus:
             return False
-        if "faces" in doc and doc["faces"] != [list(w) for w in faces.walks]:
+        if "faces" in doc and doc["faces"] != walks:
             return False
         if "euler" in doc:
-            euler = doc["euler"]
             expected = {
-                "V": faces.vertex_count,
-                "E": faces.edge_count,
-                "F": faces.face_count,
-                "components": faces.components,
+                "V": g.n,
+                "E": g.num_edges,
+                "F": len(walks),
+                "components": components,
             }
-            if euler != expected:
+            if doc["euler"] != expected:
                 return False
         return True
     if status == "nonplanar":

@@ -26,7 +26,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph, normalize_edge
@@ -100,24 +100,31 @@ def _walk_darts(walk: tuple[int, ...]) -> tuple[Dart, ...]:
     return tuple(zip(walk, walk[1:] + walk[:1]))
 
 
-def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
-    """Trace all faces of the embedding (g, rho).
+def face_walks(g: Graph, cycles: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The faces of g under the rotation `cycles`, each as its closed
+    vertex walk in a list, the form verdict documents store.
 
     Faces are reported in ascending order of their smallest dart, each
     walk starting at that dart; edge-free components contribute one empty
     walk apiece.
 
+    cycles[v] lists v's neighbors in cyclic order, from any start, as a
+    list or a tuple.  Raises ValueError unless every vertex has one cycle
+    of its degree's length that meets each of its darts once: a missing or
+    extra cycle, a cycle of the wrong length, a stranger or a neighbor met
+    twice.
+
     Darts are numbered 0..2m-1 in ascending order: dart (u, g.adj[u][k])
     is number first[u] + k, and head[d] is its far end.  One pass over the
-    rotation, which also checks it against g, records for each dart the
+    cycles, which also checks them against g, records for each dart the
     number of the dart that follows it around its tail; a bisection in the
     sorted g.adj[v] numbers each dart of v's cycle.  Walking u ascending
     over the sorted g.adj[u] then meets the darts in number order and, at
     each head w, the tails u in ascending order, so a running count at w
     numbers the reverse dart (w, u).
     """
-    adj, order, n = g.adj, rho.order, g.n
-    if len(order) != n:
+    adj, n = g.adj, g.n
+    if len(cycles) != n:
         raise ValueError("rotation system does not match the graph")
     first = list(itertools.accumulate(map(len, adj), initial=0))
     total = first[-1]
@@ -125,26 +132,31 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
     # after[total] is scratch: each cycle's first link lands there, and
     # its last dart then closes the cycle
     after = list(range(1, total + 2))
+    met = bytearray(total)
     bisect_left = bisect.bisect_left
-    for v, cyc in enumerate(order):
+    for v, cyc in enumerate(cycles):
         nbrs = adj[v]
-        if cyc != nbrs:
-            # RotationSystem rejects repeated neighbors, so a cycle of
-            # g.adj[v]'s length drawn from g.adj[v] is a permutation of it
-            lo, hi = first[v], first[v + 1]
-            if len(cyc) != hi - lo:
+        if cyc == nbrs:
+            # a tuple equal to g.adj[v] is ascending: after's default
+            # links it but for its last dart
+            if nbrs:
+                after[first[v + 1] - 1] = first[v]
+            continue
+        lo, hi = first[v], first[v + 1]
+        if len(cyc) != hi - lo:
+            raise ValueError("rotation system does not match the graph")
+        prev = total
+        for w in cyc:
+            d = lo + bisect_left(nbrs, w)
+            if d == hi or head[d] != w or met[d]:
                 raise ValueError("rotation system does not match the graph")
-            prev = total
-            for w in cyc:
-                d = lo + bisect_left(nbrs, w)
-                if d == hi or head[d] != w:
-                    raise ValueError("rotation system does not match the graph")
-                after[prev] = d
-                prev = d
-            after[prev] = after[total]
-        elif nbrs:
-            after[first[v + 1] - 1] = first[v]
-    # the face successor of (u, w) is the dart after (w, u) around w
+            met[d] = 1
+            after[prev] = d
+            prev = d
+        after[prev] = after[total]
+    # every dart was met once in its own vertex's cycle, so after and the
+    # face successor succ are permutations: each walk below returns to its
+    # start.  The face successor of (u, w) is the dart after (w, u) around w
     count = first[:-1]
     succ = []
     for w in head:
@@ -152,7 +164,7 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
         count[w] = r + 1
         succ.append(after[r])
     seen = bytearray(total)
-    walks: list[tuple[int, ...]] = []
+    walks: list[list[int]] = []
     for u in range(n):
         for start in range(first[u], first[u + 1]):
             if seen[start]:
@@ -166,18 +178,32 @@ def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
                 d = succ[d]
                 if d == start:
                     break
-            walks.append(tuple(walk))
+            walks.append(walk)
     # an isolated vertex still bounds one face
-    walks.extend(() for nbrs in adj if not nbrs)
+    walks.extend([] for nbrs in adj if not nbrs)
+    return walks
+
+
+def euler_genus(g: Graph, face_count: int) -> tuple[int, int]:
+    """g's component count and the genus (2c - V + E - F) / 2 of an
+    embedding of g with face_count faces."""
     c = g.component_count()
-    v_count, e_count, f_count = g.n, g.num_edges, len(walks)
-    doubled = 2 * c - v_count + e_count - f_count
+    doubled = 2 * c - g.n + g.num_edges - face_count
     if doubled < 0 or doubled % 2:
         raise InternalInconsistencyError(
             f"Euler count 2c - V + E - F = {doubled} is not a non-negative "
             "even number"
         )
-    return FaceSet(tuple(walks), v_count, e_count, f_count, c, doubled // 2)
+    return c, doubled // 2
+
+
+def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
+    """Trace all faces of the embedding (g, rho); see face_walks."""
+    walks = face_walks(g, rho.order)
+    c, genus = euler_genus(g, len(walks))
+    return FaceSet(
+        tuple(map(tuple, walks)), g.n, g.num_edges, len(walks), c, genus
+    )
 
 
 def genus(g: Graph, rho: RotationSystem) -> int:

@@ -36,8 +36,11 @@ def traced(g, rotation):
 
 
 def reference_exit(g, doc) -> int:
-    """0 when doc certifies its claim about g, else 1."""
+    """0 when doc certifies its claim about g, 2 when a rotation cycle
+    repeats a neighbor (a malformed document, whatever the graph), else 1."""
     if doc["status"] == "planar":
+        if any(len(set(cyc)) != len(cyc) for cyc in doc["rotation"]):
+            return 2
         try:
             walks, euler, genus = traced(g, doc["rotation"])
         except ValueError:
@@ -59,6 +62,31 @@ def swap_neighbors(doc, data, g):
     cyc[i], cyc[j] = cyc[j], cyc[i]
 
 
+def repeat_neighbor(doc, data, g):
+    """An entry becomes another neighbor of the same cycle, so the cycle
+    keeps its length."""
+    cycles = [cyc for cyc in doc["rotation"] if len(cyc) >= 2]
+    if not cycles:
+        return
+    cyc = data.draw(st.sampled_from(cycles))
+    i, j = data.draw(st.lists(st.integers(0, len(cyc) - 1), min_size=2, max_size=2, unique=True))
+    cyc[i] = cyc[j]
+
+
+def foreign_neighbor(doc, data, g):
+    """An entry becomes a vertex that is not a neighbor: -1, n, the
+    vertex itself or one of the graph's non-neighbors."""
+    rotation = doc["rotation"]
+    busy = [v for v, cyc in enumerate(rotation) if cyc]
+    if not busy:
+        return
+    v = data.draw(st.sampled_from(busy))
+    strangers = [w for w in range(-1, g.n + 1) if w not in g.adj[v]]
+    rotation[v][data.draw(st.integers(0, len(rotation[v]) - 1))] = data.draw(
+        st.sampled_from(strangers)
+    )
+
+
 def rotate_face(doc, data, g):
     faces = doc["faces"]
     k = data.draw(st.integers(0, len(faces) - 1))
@@ -73,8 +101,12 @@ def bump_face_count(doc, data, g):
 
 def retrace(doc, data, g):
     """Faces and Euler data rewritten to match the rotation as it stands:
-    after a swap, only the genus shows the forgery."""
-    doc["faces"], doc["euler"], _ = traced(g, doc["rotation"])
+    after a swap, only the genus shows the forgery.  A rotation that no
+    longer fits g keeps its old faces."""
+    try:
+        doc["faces"], doc["euler"], _ = traced(g, doc["rotation"])
+    except ValueError:
+        pass
 
 
 def _some_path(doc, data):
@@ -101,7 +133,9 @@ def dense_graphs(draw):
     return Graph(n, [pair for pair, k in zip(pairs, keep) if k])
 
 
-PLANAR_MUTATIONS = [swap_neighbors, rotate_face, bump_face_count]
+PLANAR_MUTATIONS = [
+    swap_neighbors, repeat_neighbor, foreign_neighbor, rotate_face, bump_face_count
+]
 NONPLANAR_MUTATIONS = [replace_path_vertex, drop_path_vertex]
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -21,7 +22,8 @@ from planarcert.documents import (
     verdict_doc_is_valid,
     verdict_to_doc,
 )
-from planarcert.embedding import lr_planar_rotation
+from planarcert.embedding import RotationSystem, lr_planar_rotation
+from planarcert.errors import InternalInconsistencyError
 from planarcert.lemmas import lemma_report
 from planarcert.graphs import (
     Graph,
@@ -296,6 +298,20 @@ def test_auditing_a_planar_grid_never_builds_the_edge_set():
     assert g.edges == grid.edges  # built on first use
 
 
+def test_auditing_a_planar_grid_never_builds_a_rotation_system(monkeypatch):
+    grid = grid_graph(30, 30)
+    doc = verdict_to_doc(grid, decide(grid))
+    g = parse_edge_list(format_edge_list(grid))
+
+    def refuse(self, order):
+        raise AssertionError("the audit built a RotationSystem")
+
+    monkeypatch.setattr(RotationSystem, "__init__", refuse)
+    assert verdict_doc_is_valid(g, doc)
+    doc["rotation"][1][0] = 899  # a stranger: the rejection builds none either
+    assert not verdict_doc_is_valid(g, doc)
+
+
 def test_check_refuses_a_verdict_without_its_witness(capsys, write, monkeypatch):
     # verdict_to_doc checks its input under python -O too: exit 3, no document
     path = write("k4.edges", format_edge_list(complete_graph(4)))
@@ -507,6 +523,95 @@ def test_certify_rejects_nonplanar_rotation_claim(capsys, write):
     vpath = write("tampered.json", json.dumps(doc))
     code, _, _ = run(capsys, ["certify", k4path, vpath])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "rotation, code",
+    [
+        ([[1, 2], [0, 2], [0, 1]], 0),
+        ([[1, 2], [0, 2]], 1),  # a cycle missing
+        ([[1, 2], [0, 2], [0, 3]], 1),  # a stranger
+        ([[1, 2], [2, 0, 1], [0, 1]], 1),  # one entry too many
+        ([[1, 1], [0, 2]], 2),  # a repeat outranks the missing cycle
+        ([[1, 2], [0, 2], [1, 1]], 2),
+        ([[2, 2], [0, 2], [0, 1]], 2),
+    ],
+)
+def test_certify_exit_codes_for_triangle_rotations(capsys, write, rotation, code):
+    gpath = write("c3.edges", format_edge_list(complete_graph(3)))
+    vpath = write("c3.json", json.dumps({"status": "planar", "rotation": rotation}))
+    got, out, err = run(capsys, ["certify", gpath, vpath])
+    assert (got, out) == (code, "")
+    assert ("repeated neighbor in a rotation" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("name", ["k4", "grid3x3-isolated", "k5", "subdivided-k33"])
+def test_certify_accepts_the_golden_verdicts(capsys, name):
+    argv = ["certify", str(GOLDEN / f"{name}.txt"), str(GOLDEN / f"{name}.json")]
+    assert run(capsys, argv) == (0, "", "")
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_check_and_certify_pause_the_collector_and_restore_it(
+    capsys, write, monkeypatch, collector_on
+):
+    def files(name, g):
+        doc = json.dumps(verdict_to_doc(g, decide(g)))
+        return write(f"{name}.edges", format_edge_list(g)), write(f"{name}.json", doc)
+
+    k4, k4_doc = files("k4", complete_graph(4))
+    k5, k5_doc = files("k5", complete_graph(5))
+    bad = write("bad.edges", "n 2\n0 0\n")
+    seen = []
+    real = cli.verdict_doc_is_valid
+
+    def audit(g, doc):
+        seen.append(gc.isenabled())
+        if doc.get("status") == "nonplanar" and doc.get("certificate") == {}:
+            raise InternalInconsistencyError("forced")
+        return real(g, doc)
+
+    monkeypatch.setattr(cli, "verdict_doc_is_valid", audit)
+    broken = write("broken.json", '{"status": "nonplanar", "certificate": {}}')
+    runs = [
+        (["check", k4, "--validate"], 0),
+        (["check", k5, "--validate"], 1),
+        (["check", bad], 2),
+        (["check", k4, "--budget", "1"], 3),
+        (["certify", k4, k4_doc], 0),
+        (["certify", k4, k5_doc], 1),
+        (["certify", bad, k4_doc], 2),
+        (["certify", k5, broken], 3),
+    ]
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        before = collector_state()
+        for argv, code in runs:
+            assert run(capsys, argv)[0] == code, argv
+            assert collector_state() == before, argv
+    finally:
+        gc.enable()
+    assert seen == [False] * 5
+
+
+def test_harness_runs_with_the_collector_on(capsys, monkeypatch):
+    from planarcert import harness
+
+    seen = []
+    real = harness.verify_lifting
+
+    def spy(samples, seed):
+        seen.append(gc.isenabled())
+        return real(samples, seed)
+
+    monkeypatch.setattr(harness, "verify_lifting", spy)
+    assert gc.isenabled()
+    code, _, _ = run(capsys, ["harness", "lifting", "--samples", "3"])
+    assert (code, seen) == (0, [True])
 
 
 def test_lemmas_command(capsys, write):

@@ -14,6 +14,7 @@ from planarcert.embedding import (
     enumerate_rotation_systems,
     face_boundary,
     face_covering_all_edges,
+    face_walks,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
@@ -159,6 +160,25 @@ def test_trace_faces_rejects_every_kind_of_mismatch():
     # degree <= 2 cycles have one canonical order, which must match exactly
     with pytest.raises(ValueError):
         trace_faces(path_graph(3), RotationSystem([(2,), (0, 2), (0,)]))
+
+
+def test_face_walks_reads_raw_cycles_from_any_start_and_meets_each_dart_once():
+    k4 = complete_graph(4)
+    good = [[1, 3, 2], [2, 3, 0], [0, 3, 1], [0, 1, 2]]
+    want = [list(w) for w in trace_faces(k4, RotationSystem(good)).walks]
+    assert face_walks(k4, good) == want
+    assert face_walks(k4, [cyc[1:] + cyc[:1] for cyc in good]) == want
+    assert face_walks(Graph(2, []), [[], []]) == [[], []]
+    for bad in (
+        [[1, 1, 2]] + good[1:],  # a neighbor met twice, the length kept
+        good[:3] + [[0, 1, 1]],
+        [[3, 3, 3]] + good[1:],
+        [[1, 3, 2, 1]] + good[1:],
+        good[:3] + [[0, 1, 3]],  # the vertex itself
+        good[:3] + [[0, 1, 4]],  # one past the last vertex
+    ):
+        with pytest.raises(ValueError):
+            face_walks(k4, bad)
 
 
 def test_rotation_canonicalization_and_equality():
