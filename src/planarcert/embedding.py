@@ -57,6 +57,15 @@ class RotationSystem:
             canon.append(cyc)
         self.order = tuple(canon)
 
+    @classmethod
+    def from_canonical(cls, order: tuple[tuple[int, ...], ...]) -> RotationSystem:
+        """The rotation system whose cycles are `order`, which must already
+        start at their smallest neighbor and repeat none; they are not
+        checked again."""
+        rho = cls.__new__(cls)
+        rho.order = order
+        return rho
+
     @property
     def n(self) -> int:
         return len(self.order)
@@ -517,8 +526,9 @@ def lr_planar_rotation(
     `node_budget` bounds the oriented edges, and may be a StepBudget
     shared with other calls: all m are charged before the DFS starts, and
     a budget with fewer left raises SearchBudgetExceeded.
-    The result is not self-certifying: callers confirm genus 0 with
-    trace_faces.
+    Each cycle starts at its vertex's smallest neighbor, as RotationSystem
+    stores it.  The result is not self-certifying: callers confirm genus 0
+    by tracing its faces.
     """
     n, adj = g.n, g.adj
     m = g.num_edges
@@ -532,13 +542,14 @@ def lr_planar_rotation(
     height = [-1] * n
     parent = [-1] * n
     parent_edge = [-1] * n
-    src: list[int] = []
-    dst: list[int] = []
-    lowpt: list[int] = []
-    lowpt2: list[int] = []
-    nesting: list[int] = []
+    src = [0] * m
+    dst = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
     out: list[list[int]] = [[] for _ in range(n)]
     roots = []
+    e = 0  # the next edge id
 
     for r in range(n):
         if height[r] >= 0:
@@ -553,25 +564,25 @@ def lr_planar_rotation(
             u = parent[v]
             for w in todo:
                 hw = height[w]
-                if hw < 0:  # tree edge
-                    parent_edge[w] = len(src)
-                    out[v].append(len(src))
-                    src.append(v)
-                    dst.append(w)
-                    lowpt.append(hv)
-                    lowpt2.append(hv)
-                    nesting.append(0)
+                if hw < 0:  # tree edge; its nesting depth is set below
+                    parent_edge[w] = e
+                    out[v].append(e)
+                    src[e] = v
+                    dst[e] = w
+                    lowpt[e] = lowpt2[e] = hv
+                    e += 1
                     parent[w] = v
                     height[w] = hv + 1
                     stack.append((w, iter(adj[w])))
                     break
                 if hw < hv and w != u:  # back edge, to an ancestor of u
-                    out[v].append(len(src))
-                    src.append(v)
-                    dst.append(w)
-                    lowpt.append(hw)
-                    lowpt2.append(hv)
-                    nesting.append(2 * hw)
+                    out[v].append(e)
+                    src[e] = v
+                    dst[e] = w
+                    lowpt[e] = hw
+                    lowpt2[e] = hv
+                    nesting[e] = 2 * hw
+                    e += 1
                     # fold it into the lowpoints of v's parent edge p,
                     # which are both at most height[u] < hv already
                     lp = lowpt[p]
@@ -616,10 +627,6 @@ def lr_planar_rotation(
     lowpt_edge = [-1] * m
     bottom: list[list[int] | None] = [None] * m
 
-    def conflicting(hi: int, b: int) -> bool:
-        """Whether the interval with high end hi conflicts with edge b."""
-        return hi >= 0 and lowpt[hi] > lowpt[b]
-
     def add_constraints(ei: int, e: int) -> bool:
         p = [-1, -1, -1, -1]
         # merge the return edges of ei into p's right interval
@@ -640,16 +647,20 @@ def lr_planar_rotation(
             if (pairs[-1] if pairs else None) is bottom[ei]:
                 break
         # merge the return edges of earlier siblings that conflict with ei
-        # into p's left interval
+        # into p's left interval: an interval conflicts with ei when its
+        # high end returns above ei's lowpoint
+        low = lowpt[ei]
         while pairs:
             q = pairs[-1]
-            if not (conflicting(q[1], ei) or conflicting(q[3], ei)):
+            left_hi, right_hi = q[1], q[3]
+            right = right_hi >= 0 and lowpt[right_hi] > low
+            if not (right or left_hi >= 0 and lowpt[left_hi] > low):
                 break
             pairs.pop()
-            if conflicting(q[3], ei):
-                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
-            if conflicting(q[3], ei):
-                return False
+            if right:
+                q[0], q[1], q[2], q[3] = q[2], right_hi, q[0], left_hi
+                if left_hi >= 0 and lowpt[left_hi] > low:
+                    return False
             if p[2] >= 0:
                 ref[p[2]] = q[3]
             if q[2] >= 0:
@@ -706,32 +717,29 @@ def lr_planar_rotation(
             return True
         return add_constraints(ei, e)
 
-    nxt = [0] * n
     for r in roots:
-        stack = [r]
+        stack = [(r, iter(out[r]))]
         while stack:
-            v = stack[-1]
-            i = nxt[v]
-            if i == len(out[v]):
+            v, todo = stack[-1]
+            for ei in todo:
+                bottom[ei] = pairs[-1] if pairs else None
+                w = dst[ei]
+                if ei == parent_edge[w]:
+                    stack.append((w, iter(out[w])))
+                    break
+                lowpt_edge[ei] = ei
+                pairs.append([-1, -1, ei, ei])
+                if not integrate(v, ei, ei == out[v][0]):
+                    return None
+            else:
                 stack.pop()
                 e = parent_edge[v]
                 if e >= 0:
-                    trim_back_edges(e)
+                    if pairs:  # else there is nothing to trim
+                        trim_back_edges(e)
                     u = src[e]
-                    if not integrate(u, e, nxt[u] == 1):
+                    if not integrate(u, e, e == out[u][0]):
                         return None
-                continue
-            nxt[v] = i + 1
-            ei = out[v][i]
-            bottom[ei] = pairs[-1] if pairs else None
-            w = dst[ei]
-            if ei == parent_edge[w]:
-                stack.append(w)
-                continue
-            lowpt_edge[ei] = ei
-            pairs.append([-1, -1, ei, ei])
-            if not integrate(v, ei, i == 0):
-                return None
 
     # -- phase 3: absolute sides -------------------------------------------
     for e in range(m):
@@ -767,58 +775,60 @@ def lr_planar_rotation(
 
     left_ref = [-1] * n
     right_ref = [-1] * n
-    nxt = [0] * n
     for r in roots:
-        stack = [r]
+        stack = [iter(out[r])]
         while stack:
-            v = stack[-1]
-            i = nxt[v]
-            if i == len(out[v]):
+            for ei in stack[-1]:
+                w = dst[ei]
+                x = 2 * ei + 1
+                tree = ei == parent_edge[w]
+                if tree:  # src[ei] goes first in w's order
+                    left_ref[src[ei]] = right_ref[src[ei]] = 2 * ei
+                    if not out[w]:
+                        cw[x] = ccw[x] = x
+                        continue
+                    after = ccw[2 * out[w][0]]
+                elif side[ei] == 1:  # right after the tree edge into w's subtree
+                    after = right_ref[w]
+                else:  # left: before the earlier left back edges
+                    after = ccw[left_ref[w]]
+                    left_ref[w] = x
+                # put x right after `after` in w's clockwise order
+                b = cw[after]
+                cw[after] = x
+                ccw[x] = after
+                cw[x] = b
+                ccw[b] = x
+                if tree:
+                    stack.append(iter(out[w]))
+                    break
+            else:
                 stack.pop()
-                continue
-            nxt[v] = i + 1
-            ei = out[v][i]
-            w = dst[ei]
-            x = 2 * ei + 1
-            if ei == parent_edge[w]:  # v goes first in w's order
-                left_ref[v] = right_ref[v] = 2 * ei
-                stack.append(w)
-                if not out[w]:
-                    cw[x] = ccw[x] = x
-                    continue
-                after = ccw[2 * out[w][0]]
-            elif side[ei] == 1:  # right after the tree edge into w's subtree
-                after = right_ref[w]
-            else:  # left: before the earlier left back edges
-                after = ccw[left_ref[w]]
-                left_ref[w] = x
-            # put x right after `after` in w's clockwise order
-            b = cw[after]
-            cw[after] = x
-            ccw[x] = after
-            cw[x] = b
-            ccw[b] = x
 
     # the far end of each dart
     head = [0] * (2 * m)
     head[::2] = dst
     head[1::2] = src
-    orders: list[list[int]] = []
-    for v in range(n):
-        if out[v]:
-            start = 2 * out[v][0]
-        elif parent_edge[v] >= 0:
+    # each ring holds every dart of its vertex once, so no cycle repeats a
+    # neighbor.  Each cycle starts at the vertex's smallest neighbor, the
+    # one the DFS examined first: v's parent, or else the far end of the
+    # first edge oriented away from v, which has the smallest id in out[v]
+    orders: list[tuple[int, ...]] = []
+    for v, nbrs in enumerate(adj):
+        if not nbrs:
+            orders.append(())
+            continue
+        if nbrs[0] == parent[v]:
             start = 2 * parent_edge[v] + 1
         else:
-            orders.append([])
-            continue
+            start = 2 * min(out[v])
         cyc = [head[start]]
         d = cw[start]
         while d != start:
             cyc.append(head[d])
             d = cw[d]
-        orders.append(cyc)
-    return RotationSystem(orders)
+        orders.append(tuple(cyc))
+    return RotationSystem.from_canonical(tuple(orders))
 
 
 # ---------------------------------------------------------------------------
@@ -949,13 +959,21 @@ def lr_kuratowski(
 
     def rejects(edges: Iterable[int]) -> bool:
         """Whether the test rejects the graph of these H edges, relabeled
-        to compact ids."""
+        to compact ids.  H has no loops or parallel edges, so its sorted
+        neighbor lists make the graph without an edge set."""
         ids: dict[int, int] = {}
         pairs = [
             (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
             for a, b in map(ends.__getitem__, edges)
         ]
-        return lr_planar_rotation(Graph(len(ids), pairs), budget) is None
+        nbrs: list[list[int]] = [[] for _ in ids]
+        for i, j in pairs:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        for around in nbrs:
+            around.sort()
+        h = Graph.from_adjacency(tuple(map(tuple, nbrs)), len(pairs))
+        return lr_planar_rotation(h, budget) is None
 
     def rejected_without(block: list[int]) -> bool:
         drop = set(block)

@@ -148,7 +148,25 @@ class Graph:
         return self._components
 
     def component_count(self) -> int:
-        return len(self.components())
+        """len(components()), counted without building the components
+        unless they are already cached."""
+        if self._components is not None:
+            return len(self._components)
+        adj = self.adj
+        seen = bytearray(self.n)
+        count = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            count += 1
+            seen[start] = 1
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+        return count
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

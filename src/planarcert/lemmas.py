@@ -73,9 +73,20 @@ def condition1(g: Graph) -> bool:
 
 
 def condition2(g: Graph) -> bool:
-    """Every K - x - y is a cycle on >= 3 vertices; false if K is edgeless."""
+    """Every K - x - y is a cycle on >= 3 vertices; false if K is edgeless.
+
+    K - x - y keeps m - deg x - deg y + 1 edges on n - 2 vertices, and a
+    cycle has as many edges as vertices: an edge with deg x + deg y other
+    than m - n + 3 fails before any reduction is built."""
     if not g.num_edges:
         return False
+    adj = g.adj
+    target = g.num_edges - g.n + 3
+    for nbrs in adj:
+        need = target - len(nbrs)
+        for y in nbrs:
+            if len(adj[y]) != need:
+                return False
     return all(_is_cycle(reduced) for _, reduced in _reductions(g))
 
 

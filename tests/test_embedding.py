@@ -358,6 +358,32 @@ def test_lr_examples():
     assert lr_planar_rotation(complete_graph(7), node_budget=1) is None
 
 
+def test_lr_returns_canonical_cycles_without_the_strict_constructor(
+    all_graphs_up_to_5, monkeypatch
+):
+    rng = random.Random(5)
+    larger = [
+        grid_graph(9, 11),
+        grid_graph(8, 8, diagonals=True),
+        path_graph(40),
+        Graph(60, [(v, rng.randrange(v)) for v in range(1, 60)]),  # a tree
+    ]
+    larger += [_relabeled(_random_triangulated_piece(rng), rng) for _ in range(8)]
+
+    def refuse(self, order):
+        raise AssertionError("lr_planar_rotation ran the validating constructor")
+
+    with monkeypatch.context() as m:
+        m.setattr(RotationSystem, "__init__", refuse)
+        rotations = [lr_planar_rotation(g) for g in [*all_graphs_up_to_5, *larger]]
+    for rho in rotations:
+        if rho is not None:
+            assert rho.order == RotationSystem(rho.order).order
+    assert all(rho is not None for rho in rotations[len(all_graphs_up_to_5):])
+    with pytest.raises(ValueError, match="repeated neighbor"):
+        RotationSystem([(1, 2, 1), (0,), (0,)])
+
+
 def _relabeled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)

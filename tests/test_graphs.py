@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planarcert.documents import format_edge_list, parse_edge_list
@@ -126,6 +126,18 @@ def test_neighbor_masks_are_built_on_demand(g):
     assert g.adj_mask == tuple(eager)
     assert g.adj_mask is g.adj_mask  # built once
     assert hash(g) == hash(Graph(g.n, sorted(g.edges)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.integers(0, 4))
+@example(Graph(0), 0)
+def test_component_count_counts_without_building_the_components(g, isolated):
+    # extra vertices with no edges: each is a component of its own
+    g = Graph(g.n + isolated, g.edges)
+    count = g.component_count()
+    assert g._components is None
+    assert count == len(g.components())
+    assert g.component_count() == count  # now read from the cached tuples
 
 
 @settings(max_examples=200, deadline=None)

@@ -95,6 +95,16 @@ def test_implication_chain_small_exhaustive():
                 assert condition1(g)
 
 
+def test_condition2_matches_its_reduction_by_reduction_definition():
+    # the degree filter in condition2 only skips reductions, never decides
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            expected = g.num_edges > 0 and all(
+                lemmas._is_cycle(reduced) for _, reduced in lemmas._reductions(g)
+            )
+            assert condition2(g) == expected, g.sorted_edges()
+
+
 def test_condition2_implies_min_degree_three():
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
