@@ -18,7 +18,6 @@ import sys
 
 from .documents import (
     DocumentError,
-    audited_planar_doc,
     lemma_report_to_doc,
     parse_edge_list,
     to_json,
@@ -29,7 +28,7 @@ from .errors import CapacityError, InternalInconsistencyError, SearchBudgetExcee
 from .graphs import Graph
 from .harness import CAMPAIGNS
 from .lemmas import lemma_report
-from .planarity import DecisionConfig, DecisionPath, decide, decide_unconfirmed
+from .planarity import DecisionConfig, DecisionPath, decide
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -88,27 +87,15 @@ def _collector_paused(command):
 @_collector_paused
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    if args.validate:
-        doc = _validated_doc(g, _config(args))
-        if doc is None:
-            print("error: emitted verdict failed re-validation", file=sys.stderr)
-            return EXIT_RESOURCE
-    else:
-        doc = verdict_to_doc(g, decide(g, _config(args)))
-    print(to_json(doc))
-    return EXIT_OK if doc["status"] == "planar" else EXIT_NEGATIVE
-
-
-def _validated_doc(g: Graph, config: DecisionConfig) -> dict | None:
-    """g's verdict document after the audit certify would run on it, or
-    None if the audit fails.  A planar answer is audited unconfirmed: the
-    audit's trace of its rotation is its one genus confirmation, and the
-    document's faces and Euler data come from that trace."""
-    verdict = decide_unconfirmed(g, config)
-    if verdict.planar:
-        return audited_planar_doc(g, verdict.rotation)
+    verdict = decide(g, _config(args))
     doc = verdict_to_doc(g, verdict)
-    return doc if verdict_doc_is_valid(g, doc) else None
+    # decide's face trace of a planar rotation is the audit's planar check
+    # of the document built from it, so only a certificate is audited again
+    if args.validate and not verdict.planar and not verdict_doc_is_valid(g, doc):
+        print("error: emitted verdict failed re-validation", file=sys.stderr)
+        return EXIT_RESOURCE
+    print(to_json(doc))
+    return EXIT_OK if verdict.planar else EXIT_NEGATIVE
 
 
 @_collector_paused
@@ -160,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--validate",
         action="store_true",
-        help="audit the verdict as certify would before printing it; a "
-        "planar answer's audit is its genus-0 confirmation, so its faces "
-        "are traced once, not twice",
+        help="audit the verdict as certify would before printing it; for a "
+        "planar answer the audit is the face trace that confirms genus 0, "
+        "run once",
     )
     check.add_argument(
         "--budget",

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
-from .embedding import RotationSystem, euler_genus, face_walks
+from .embedding import euler_genus, face_walks
 from .errors import InternalInconsistencyError
 from .graphs import Graph
 from .lemmas import LemmaReport
@@ -193,23 +193,6 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
     }
 
 
-def audited_planar_doc(g: Graph, rho: RotationSystem) -> dict[str, Any] | None:
-    """The planar verdict document of (g, rho), or None when its rotation
-    does not trace to genus 0.
-
-    This is the audit verdict_doc_is_valid runs on a planar document, and
-    the genus confirmation of a rotation nothing has traced yet: one trace
-    of the cycles the document records gives its faces and Euler data, so
-    the document passes certify by construction.  The trace reads rho's
-    own tuples, on which face_walks skips the cycles equal to g.adj."""
-    traced = _genus0_faces(g, rho.order)
-    if traced is None:
-        return None
-    walks, euler = traced
-    rotation = [list(cyc) for cyc in rho.order]
-    return {"status": "planar", "rotation": rotation, "faces": walks, "euler": euler}
-
-
 def lemma_report_to_doc(report: LemmaReport) -> dict[str, Any]:
     return {
         "condition1": report.condition1,
@@ -253,23 +236,6 @@ def certificate_from_doc(doc: Any) -> SubdivisionCertificate:
     )
 
 
-def _genus0_faces(
-    g: Graph, rotation: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], dict[str, int]] | None:
-    """The face walks of g under `rotation` and the Euler data a planar
-    document records, or None unless `rotation` is a rotation system of g
-    with genus 0."""
-    try:
-        walks = face_walks(g, rotation)
-    except ValueError:
-        return None
-    components, genus = euler_genus(g, len(walks))
-    if genus:
-        return None
-    euler = {"V": g.n, "E": g.num_edges, "F": len(walks), "components": components}
-    return walks, euler
-
-
 def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
     """Re-check a verdict document against its graph.
 
@@ -288,16 +254,30 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
             and set(map(type, itertools.chain.from_iterable(rotation))) <= {int},
             "each rotation entry must be a list of vertex ids",
         )
-        traced = _genus0_faces(g, rotation)
-        if traced is None:
+        try:
+            walks = face_walks(g, rotation)
+        except ValueError:
             # a cycle that repeats a neighbor is malformed whatever the graph
             _require(
                 all(len(set(cyc)) == len(cyc) for cyc in rotation),
                 "repeated neighbor in a rotation",
             )
             return False
-        walks, euler = traced
-        return doc.get("faces", walks) == walks and doc.get("euler", euler) == euler
+        components, genus = euler_genus(g, len(walks))
+        if genus:
+            return False
+        if "faces" in doc and doc["faces"] != walks:
+            return False
+        if "euler" in doc:
+            expected = {
+                "V": g.n,
+                "E": g.num_edges,
+                "F": len(walks),
+                "components": components,
+            }
+            if doc["euler"] != expected:
+                return False
+        return True
     if status == "nonplanar":
         cert = certificate_from_doc(doc.get("certificate"))
         return validate_subdivision(g, cert)

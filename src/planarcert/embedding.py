@@ -959,21 +959,13 @@ def lr_kuratowski(
 
     def rejects(edges: Iterable[int]) -> bool:
         """Whether the test rejects the graph of these H edges, relabeled
-        to compact ids.  H has no loops or parallel edges, so its sorted
-        neighbor lists make the graph without an edge set."""
+        to compact ids."""
         ids: dict[int, int] = {}
         pairs = [
             (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
             for a, b in map(ends.__getitem__, edges)
         ]
-        nbrs: list[list[int]] = [[] for _ in ids]
-        for i, j in pairs:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        for around in nbrs:
-            around.sort()
-        h = Graph.from_adjacency(tuple(map(tuple, nbrs)), len(pairs))
-        return lr_planar_rotation(h, budget) is None
+        return lr_planar_rotation(Graph(len(ids), pairs), budget) is None
 
     def rejected_without(block: list[int]) -> bool:
         drop = set(block)

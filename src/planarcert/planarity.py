@@ -2,18 +2,17 @@
 
 A verdict is either Planar, carrying a genus-0 rotation system and its
 faces, or NonPlanar, carrying a K5 or K3,3 subdivision certificate.  The
-left-right planarity test is the decision authority.  A graph it rejects
-gets its certificate from the configured route: a Kuratowski subdivision
+left-right planarity test is the decision authority.  Its planar answer is
+returned only after face tracing confirms genus 0; a graph it rejects gets
+its certificate from the configured route: a Kuratowski subdivision
 extracted with the same test as its oracle (the default), or the minor
 search converted to a subdivision.  A rejected graph with no obstruction
 is reported as an internal inconsistency, never as a verdict.
 
-The test's rotation is not self-certifying, so its genus 0 is confirmed by
-tracing its faces exactly once.  decide traces them itself.
-decide_unconfirmed leaves the trace to its caller: `check --validate`
-audits the verdict document it prints, and that audit's trace of the
-document's rotation is the genus confirmation and the source of the
-document's faces.
+The face trace that confirms genus 0 checks the rotation against the graph
+and yields the faces and Euler data a planar document records, so it is
+also the audit of that document: `check --validate` traces a planar
+embedding once, here, and audits only a certificate again.
 
 The subdivision search, the minor search and the backtracking embedding
 search stay as independent oracles: route_bits confronts all four routes
@@ -99,29 +98,16 @@ def decide(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdict:
     """Planar embedding or Kuratowski certificate.
 
     Planarity is decided by the left-right test; the certifying route
-    named by config.path runs only on graphs the test rejects.  A planar
-    verdict carries the faces that confirm its rotation has genus 0."""
-    verdict = decide_unconfirmed(g, config)
-    if not verdict.planar:
-        return verdict
-    faces = trace_faces(g, verdict.rotation)
-    if faces.genus != 0:
-        raise InternalInconsistencyError(
-            "left-right test returned a non-planar rotation"
-        )
-    return Verdict(planar=True, rotation=verdict.rotation, faces=faces)
-
-
-def decide_unconfirmed(
-    g: Graph, config: DecisionConfig = DEFAULT_CONFIG
-) -> Verdict:
-    """decide without its genus confirmation: a planar verdict carries the
-    left-right test's rotation and no faces.  The caller must trace that
-    rotation's faces and find genus 0 before it trusts the answer."""
+    named by config.path runs only on graphs the test rejects."""
     budget = StepBudget(config.node_budget)
     rho = lr_planar_rotation(g, budget)
     if rho is not None:
-        return Verdict(planar=True, rotation=rho)
+        faces = trace_faces(g, rho)
+        if faces.genus != 0:
+            raise InternalInconsistencyError(
+                "left-right test returned a non-planar rotation"
+            )
+        return Verdict(planar=True, rotation=rho, faces=faces)
     if config.path is DecisionPath.MINOR:
         cert = _minor_certificate(g, budget)
     else:
