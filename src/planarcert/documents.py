@@ -146,8 +146,7 @@ def _parse_edge_lines(lines: list[str], body: int, n: int) -> Graph:
         if e in seen:
             raise DocumentError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
-    # every edge is normalized, in range and new: Graph need not check again
-    return Graph.from_edge_set(n, frozenset(seen))
+    return Graph(n, seen)
 
 
 def format_edge_list(g: Graph) -> str:

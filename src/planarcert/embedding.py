@@ -916,12 +916,7 @@ def lr_kuratowski(
     for e, (u, v) in enumerate(ends):
         nbr[u][v] = nbr[v][u] = e
     alive = set(range(len(ends)))
-    # a shuffled queue scatters each block over H: edges with nearby labels
-    # are often nearby in the graph, and deleting such a band tends to cut
-    # every obstruction at once
-    order = list(range(len(ends)))
-    random.Random(0).shuffle(order)
-    queue = deque(order)
+    queue: deque[int] = deque()  # chain edges; the deletion puts g's in front
     kept: set[int] = set()  # edges H cannot lose
 
     def remove(e: int) -> tuple[int, int]:
@@ -992,6 +987,15 @@ def lr_kuratowski(
             for e in [e for e in alive if e not in inside]:
                 touched += remove(e)
             reduce(touched)
+    if not settled():
+        # a shuffled queue scatters each block over H: edges with nearby
+        # labels are often nearby in the graph, and deleting such a band
+        # tends to cut every obstruction at once.  Reduction alone settles
+        # many graphs, so the shuffle waits until the deletion needs it;
+        # g's edges go ahead of the chains reduction has built so far.
+        order = list(range(g.num_edges))
+        random.Random(0).shuffle(order)
+        queue.extendleft(reversed(order))
     halves: list[list[int]] = []  # of blocks H could not lose, next on top
     while not settled():
         if halves:

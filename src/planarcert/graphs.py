@@ -6,6 +6,14 @@ and operations that remove or merge vertices also return a VertexMap
 recording where every old id went (None = removed).  Vertex ids are
 compacted after removals, preserving the relative order of survivors, so
 all renamings are deterministic.
+
+A graph is held as sorted neighbor lists.  There are two ways to make
+one: `Graph(n, edges)` checks an edge list from outside (loops, ids out
+of range, repeats), and `Graph.from_adjacency` trusts lists that are
+already sorted and simple.  The operations here, the edge-mask decoder
+and the enumerator build their lists sorted and hand them straight to
+from_adjacency, testing edges with has_edge, so none of them builds an
+edge set.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
+    `Graph(n, edges)` is the checked constructor: it rejects loops and
+    out-of-range ids, merges repeated edges and sorts the neighbor lists.
+    `Graph.from_adjacency(adj, m)` takes sorted lists as they are.
+
     `adj` lists each vertex's neighbors in ascending order.  The edge set,
     the per-vertex neighbor bitmasks (n bits each), the components and
     the hash are built on first use: the certificate audit reads only
@@ -43,6 +55,8 @@ class Graph:
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         edge_set: set[Edge] = set()
         for u, v in edges:
             if u == v:
@@ -50,15 +64,13 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             edge_set.add((u, v) if u < v else (v, u))
-        self._build(n, frozenset(edge_set))
-
-    @classmethod
-    def from_edge_set(cls, n: int, edges: frozenset[Edge]) -> Graph:
-        """The graph on 0..n-1 with `edges`, which must already be
-        normalized (u < v) and in range; they are not checked again."""
-        g = cls.__new__(cls)
-        g._build(n, edges)
-        return g
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edge_set:
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
+        self._adopt(tuple(map(tuple, adj)), len(edge_set))
 
     @classmethod
     def from_adjacency(cls, adj: tuple[tuple[int, ...], ...], m: int) -> Graph:
@@ -66,25 +78,14 @@ class Graph:
         all.  The lists must already be ascending, symmetric, in range and
         free of loops and repeats; they are not checked again."""
         g = cls.__new__(cls)
-        g.n = len(adj)
-        g.num_edges = m
-        g.adj = adj
-        g._edges = g._adj_mask = g._components = g._hash = None
+        g._adopt(adj, m)
         return g
 
-    def _build(self, n: int, edges: frozenset[Edge]) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        self.n = n
-        self.num_edges = len(edges)
-        self.adj = tuple(map(tuple, adj))
-        self._edges: frozenset[Edge] | None = edges
+    def _adopt(self, adj: tuple[tuple[int, ...], ...], m: int) -> None:
+        self.n = len(adj)
+        self.num_edges = m
+        self.adj = adj
+        self._edges: frozenset[Edge] | None = None
         self._adj_mask: tuple[int, ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
@@ -196,13 +197,30 @@ class Graph:
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Inverse of Graph.edge_mask: bit i = i-th pair of vertices in lex order."""
-    pairs = list(itertools.combinations(range(n), 2))
-    if mask < 0 or mask >= 1 << len(pairs):
+    """Inverse of Graph.edge_mask: bit i = i-th pair of vertices in lex order.
+
+    The mask is read one row of pairs (u, u+1..n-1) at a time, so every
+    vertex receives its smaller neighbors before its larger ones, each
+    group ascending: the neighbor lists come out sorted."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if mask < 0 or mask >> (n * (n - 1) // 2):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph.from_edge_set(
-        n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-    )
+    adj: list[list[int]] = [[] for _ in range(n)]
+    rest = mask
+    for u in range(n - 1):
+        if not rest:
+            break
+        width = n - 1 - u
+        row = rest & ((1 << width) - 1)
+        rest >>= width
+        while row:
+            low = row & -row
+            row ^= low
+            v = u + low.bit_length()
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph.from_adjacency(tuple(map(tuple, adj)), mask.bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +307,27 @@ def _compaction_map(n: int, removed: set[int]) -> VertexMap:
 # ---------------------------------------------------------------------------
 
 
+def _renamed(adj: tuple[tuple[int, ...], ...], vmap: VertexMap) -> list[list[int]]:
+    """The neighbor lists of the vertices vmap keeps, renamed by it, with
+    the removed neighbors dropped.  A compaction map keeps the order of the
+    survivors, so the lists stay ascending."""
+    return [
+        [w for w in map(vmap.__getitem__, nbrs) if w is not None]
+        for kept, nbrs in zip(vmap, adj)
+        if kept is not None
+    ]
+
+
 def delete_edge(g: Graph, e: Edge) -> Graph:
     """Remove one edge; vertices are kept even if they become isolated."""
     e = normalize_edge(*e)
-    if e not in g.edges:
+    u, v = e
+    if not g.has_edge(u, v):
         raise ValueError(f"{e} is not an edge")
-    return Graph.from_edge_set(g.n, g.edges - {e})
+    adj = list(g.adj)
+    adj[u] = tuple(w for w in adj[u] if w != v)
+    adj[v] = tuple(w for w in adj[v] if w != u)
+    return Graph.from_adjacency(tuple(adj), g.num_edges - 1)
 
 
 def delete_vertex(g: Graph, x: int) -> tuple[Graph, VertexMap]:
@@ -313,13 +346,8 @@ def delete_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, VertexMap]:
             raise ValueError(f"vertex {x} already removed")
         removed.add(x)
     vmap = _compaction_map(g.n, removed)
-    # compaction keeps the order of survivors, so u < v still holds
-    edges = frozenset(
-        (vmap[u], vmap[v])
-        for u, v in g.edges
-        if u not in removed and v not in removed
-    )
-    return Graph.from_edge_set(g.n - len(removed), edges), vmap
+    adj = _renamed(g.adj, vmap)
+    return Graph.from_adjacency(tuple(map(tuple, adj)), sum(map(len, adj)) // 2), vmap
 
 
 def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
@@ -330,32 +358,43 @@ def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
     simple.  Returns (graph, merged vertex id, vertex map).
     """
     e = normalize_edge(*e)
-    if e not in g.edges:
-        raise ValueError(f"{e} is not an edge")
     keep, drop = e
-    vmap_list: list[int | None] = list(_compaction_map(g.n, {drop}))
-    z = vmap_list[keep]
+    if not g.has_edge(keep, drop):
+        raise ValueError(f"{e} is not an edge")
+    step = _compaction_map(g.n, {drop})
+    z = step[keep]
     if z is None:
         raise InternalInconsistencyError("contraction removed the kept endpoint")
-    vmap_list[drop] = z
-    vmap = tuple(vmap_list)
-    edges = set()
-    for u, v in g.edges:
-        nu, nv = vmap[u], vmap[v]
-        if nu != nv:
-            edges.add(normalize_edge(nu, nv))
-    return Graph.from_edge_set(g.n - 1, frozenset(edges)), z, vmap
+    adj = _renamed(g.adj, step)
+    merged = adj[z]
+    m = g.num_edges - 1
+    for w in g.adj[drop]:
+        if w == keep:
+            continue
+        nw = step[w]
+        nbrs = adj[nw]
+        i = bisect.bisect_left(nbrs, z)
+        if i < len(nbrs) and nbrs[i] == z:
+            m -= 1  # w was adjacent to both ends: its two edges merge
+        else:
+            nbrs.insert(i, z)
+            bisect.insort(merged, nw)
+    vmap = step[:drop] + (z,) + step[drop + 1 :]
+    return Graph.from_adjacency(tuple(map(tuple, adj)), m), z, vmap
 
 
 def subdivide_edge(g: Graph, e: Edge) -> Graph:
     """Replace edge uv with the path u - w - v through a fresh vertex w = n."""
     e = normalize_edge(*e)
-    if e not in g.edges:
-        raise ValueError(f"{e} is not an edge")
     u, v = e
-    w = g.n
-    edges = (g.edges - {e}) | {(u, w), (v, w)}
-    return Graph.from_edge_set(g.n + 1, edges)
+    if not g.has_edge(u, v):
+        raise ValueError(f"{e} is not an edge")
+    w = g.n  # above every old id, so it goes last in each list
+    adj = list(g.adj)
+    adj[u] = tuple(x for x in adj[u] if x != v) + (w,)
+    adj[v] = tuple(x for x in adj[v] if x != u) + (w,)
+    adj.append(e)
+    return Graph.from_adjacency(tuple(adj), g.num_edges + 1)
 
 
 def smooth(g: Graph) -> tuple[Graph, VertexMap]:
@@ -381,14 +420,15 @@ def smooth(g: Graph) -> tuple[Graph, VertexMap]:
             return cur, vmap
         v, a, b = target
         step = _compaction_map(cur.n, {v})
-        edges = [(step[u], step[w]) for u, w in cur.edges if v not in (u, w)]
         sa, sb = step[a], step[b]
         if sa is None or sb is None:
             raise InternalInconsistencyError(
                 "smoothing removed a neighbor of the suppressed vertex"
             )
-        edges.append(normalize_edge(sa, sb))
-        cur = Graph.from_edge_set(cur.n - 1, frozenset(edges))
+        adj = _renamed(cur.adj, step)
+        bisect.insort(adj[sa], sb)
+        bisect.insort(adj[sb], sa)
+        cur = Graph.from_adjacency(tuple(map(tuple, adj)), cur.num_edges - 1)
         vmap = compose_vertex_maps(vmap, step)
 
 
@@ -474,9 +514,5 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         raise CapacityError(
             f"labeled enumeration supports n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
-    for mask in range(1 << m):
-        yield Graph.from_edge_set(
-            n, frozenset(pairs[i] for i in range(m) if mask >> i & 1)
-        )
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield from_edge_mask(n, mask)

@@ -20,6 +20,8 @@ Report counting conventions, per campaign:
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -133,37 +135,33 @@ def random_cubic_graph(n: int, rng: Rng, max_retries: int = 10_000) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _edge_index_permutations(n: int) -> list[tuple[int, ...]]:
-    """For each vertex permutation, where each edge-mask bit position goes."""
+def _edge_bit_columns(n: int) -> list[tuple[int, ...]]:
+    """For each edge-mask bit, its image (1 << new position) under every
+    vertex permutation of 0..n-1, in itertools.permutations order."""
     pairs = list(itertools.combinations(range(n), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    out = []
-    for perm in itertools.permutations(range(n)):
-        out.append(
-            tuple(
-                index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs
-            )
-        )
-    return out
+    bit_of = {}
+    for i, (u, v) in enumerate(pairs):
+        bit_of[u, v] = bit_of[v, u] = 1 << i
+    perms = list(itertools.permutations(range(n)))
+    return [tuple(bit_of[perm[u], perm[v]] for perm in perms) for u, v in pairs]
 
 
-def _mask_orbit(mask: int, emaps: list[tuple[int, ...]]) -> Iterator[int]:
-    """The edge mask's image under each relabeling in emaps."""
-    for emap in emaps:
-        img = 0
-        m = mask
-        while m:
-            bit = (m & -m).bit_length() - 1
-            m &= m - 1
-            img |= 1 << emap[bit]
-        yield img
+def _mask_orbit(mask: int, columns: list[tuple[int, ...]], count: int) -> list[int]:
+    """The edge mask's image under each of the `count` relabelings whose
+    bit images `columns` holds: one OR across all relabelings per set bit."""
+    images: Iterable[int] = itertools.repeat(0, count)
+    while mask:
+        bit = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        images = map(operator.or_, images, columns[bit])
+    return list(images)
 
 
 def canonical_edge_mask(g: Graph) -> int:
     """Minimum edge bitmask over all vertex relabelings (n <= 7)."""
     if g.n > MAX_CLASS_N:
         raise CapacityError(f"canonical form supports n <= {MAX_CLASS_N}")
-    return min(_mask_orbit(g.edge_mask(), _edge_index_permutations(g.n)))
+    return min(_mask_orbit(g.edge_mask(), _edge_bit_columns(g.n), math.factorial(g.n)))
 
 
 def enumerate_graph_class_masks(n: int) -> list[int]:
@@ -175,7 +173,8 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
     """
     if n > MAX_CLASS_N:
         raise CapacityError(f"class enumeration supports n <= {MAX_CLASS_N}")
-    emaps = _edge_index_permutations(n)
+    columns = _edge_bit_columns(n)
+    count = math.factorial(n)
     bits = n * (n - 1) // 2
     seen = bytearray(1 << bits)
     reps = []
@@ -183,7 +182,7 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
         if seen[mask]:
             continue
         reps.append(mask)
-        for img in _mask_orbit(mask, emaps):
+        for img in _mask_orbit(mask, columns, count):
             seen[img] = 1
     return reps
 

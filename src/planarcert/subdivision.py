@@ -163,7 +163,7 @@ def validate_minor(g: Graph, cert: MinorCertificate) -> bool:
     used_for_pair: dict[tuple[int, int], set[Edge]] = {}
     for (pi, pj), e in zip(pattern.edge_list, cert.cross_edges):
         e = normalize_edge(*e)
-        if e not in g.edges:
+        if not g.has_edge(*e):
             return False
         u, v = e
         si, sj = sets[pi], sets[pj]
@@ -237,8 +237,14 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
     """Simple a-b paths whose interior avoids `blocked`, shortest first.
 
     Within one length, neighbors are explored in ascending order, so the
-    overall order is (length, lexicographic) and fully deterministic.
+    overall order is (length, lexicographic) and fully deterministic.  An
+    edge a-b is the only path of length 1, so it comes out before any
+    search.
     """
+    shortest = 1
+    if g.has_edge(a, b):
+        yield (a, b)
+        shortest = 2
     n = g.n
     allowed = ~blocked
     # BFS from b over allowed vertices for distance pruning
@@ -282,7 +288,7 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
                 visited &= ~(1 << w)
                 path.pop()
 
-    for length in range(max(dist[a], 1), free + 2):
+    for length in range(max(dist[a], shortest), free + 2):
         yield from walk(a, length)
 
 
@@ -595,10 +601,9 @@ def lift_certificate(
     the merged vertex is a branch vertex whose four strands split 2-2
     between x and y, in which case the lift is a K3,3 subdivision.
     """
-    exy = normalize_edge(x, y)
-    if exy not in g.edges:
+    if not g.has_edge(x, y):
         raise ValueError(f"({x}, {y}) is not an edge")
-    contracted, z, vmap = contract_edge(g, exy)
+    contracted, z, vmap = contract_edge(g, (x, y))
     if not validate_subdivision(contracted, cert):
         raise ValueError("certificate does not validate in the contracted graph")
 

@@ -734,6 +734,15 @@ def test_harness_all_fails_when_one_campaign_fails_and_runs_the_rest(
     assert out.count("passed true") == 5
 
 
+def test_harness_all_prints_the_golden_report(capsys):
+    # every campaign's to_kv bytes, pinned to a checked-in file so that a
+    # change to any campaign's graphs, searches or counting shows up here
+    argv = ["harness", "all", "--max-n", "5", "--samples", "40", "--seed", "7"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "harness-all.kv").read_text()
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -447,6 +447,51 @@ def test_lr_kuratowski_examples():
     assert lr_kuratowski(petersen_graph()).pattern is Pattern.K33
 
 
+def _spied_shuffles(monkeypatch):
+    calls = []
+    real = random.Random.shuffle
+
+    def spy(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", spy)
+    return calls
+
+
+def test_lr_kuratowski_shuffles_only_when_deletion_starts(monkeypatch):
+    calls = _spied_shuffles(monkeypatch)
+    k5 = complete_graph(5)
+    for e in ((0, 1), (2, 3), (1, 4)):
+        k5 = subdivide_edge(k5, e)
+    cert = lr_kuratowski(k5)  # reduction alone leaves K5
+    assert cert.pattern is Pattern.K5 and validate_subdivision(k5, cert)
+    assert calls == []
+    lr_kuratowski(k33_in_grid(4))
+    assert calls == [k33_in_grid(4).num_edges]
+
+
+def test_lr_kuratowski_queue_puts_the_shuffled_edges_before_the_chains(monkeypatch):
+    # reduction suppresses the grid's boundary vertices into chain edges
+    # before the deletion starts; the certificate pins the queue order
+    # (the shuffled edge ids of g, then the chains in creation order)
+    calls = _spied_shuffles(monkeypatch)
+    cert = lr_kuratowski(k33_in_grid(6))
+    assert calls == [63]
+    assert (cert.pattern, cert.branch) == (Pattern.K33, (9, 31, 34, 10, 19, 32))
+    assert cert.paths == (
+        (9, 10),
+        (9, 8, 14, 20, 19),
+        (9, 3, 32),
+        (31, 30, 24, 11, 10),
+        (31, 25, 19),
+        (31, 32),
+        (34, 28, 22, 16, 10),
+        (34, 35, 0, 1, 7, 13, 12, 18, 19),
+        (34, 33, 27, 26, 32),
+    )
+
+
 def test_biconnected_components_examples():
     # two triangles sharing vertex 2, a bridge 4-5 and a pendant square
     g = Graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5),

@@ -190,6 +190,69 @@ def test_contract_keeps_graphs_simple_exhaustively():
                 assert vmap[e[0]] == vmap[e[1]] == z
 
 
+def _assert_built_like_graph(got, n, edges):
+    """got equals Graph(n, edges), the checked constructor, in every field
+    a trusted producer fills in or leaves to be built on demand."""
+    want = Graph(n, edges)
+    assert (got.n, got.adj, got.num_edges) == (want.n, want.adj, want.num_edges)
+    assert got.edges == want.edges
+    assert got.edge_mask() == want.edge_mask()
+
+
+def _smooth_edge_set(n, edges):
+    """smooth's rule replayed on a plain edge set: (vertex count, edges)."""
+    edges = set(edges)
+    while True:
+        nbrs = [sorted(w for e in edges if v in e for w in e if w != v) for v in range(n)]
+        target = next(
+            ((v, *nb) for v, nb in enumerate(nbrs) if len(nb) == 2 and tuple(nb) not in edges),
+            None,
+        )
+        if target is None:
+            return n, edges
+        v, a, b = target
+        edges = {
+            (x - (x > v), y - (y > v)) for x, y in edges | {(a, b)} if v not in (x, y)
+        }
+        n -= 1
+
+
+def test_producers_build_what_the_checked_constructor_builds():
+    # every producer that hands its neighbor lists to Graph.from_adjacency
+    # unchecked, on every labeled graph with up to 5 vertices
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        enumerated = enumerate_labeled_graphs(n)
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            g = from_edge_mask(n, mask)
+            _assert_built_like_graph(g, n, edges)
+            _assert_built_like_graph(next(enumerated), n, edges)
+            _assert_built_like_graph(smooth(g)[0], *_smooth_edge_set(n, edges))
+            for x, y in edges:
+                rest = [e for e in edges if e != (x, y)]
+                _assert_built_like_graph(delete_edge(g, (x, y)), n, rest)
+                _assert_built_like_graph(
+                    subdivide_edge(g, (x, y)), n + 1, rest + [(x, n), (y, n)]
+                )
+                h, z, vmap = contract_edge(g, (x, y))
+                merged = tuple(x if u == y else u - (u > y) for u in range(n))
+                assert (z, vmap) == (x, merged)
+                _assert_built_like_graph(
+                    h, n - 1, [(merged[u], merged[v]) for u, v in rest if merged[u] != merged[v]]
+                )
+            for k in (1, 2):
+                for xs in itertools.combinations(range(n), k):
+                    keep = {u: i for i, u in enumerate(u for u in range(n) if u not in xs)}
+                    h, _ = delete_vertices(g, xs)
+                    _assert_built_like_graph(
+                        h,
+                        n - k,
+                        [(keep[u], keep[v]) for u, v in edges if u in keep and v in keep],
+                    )
+        assert next(enumerated, None) is None
+
+
 def test_subdivide_edge_examples():
     assert are_isomorphic(subdivide_edge(Graph(2, [(0, 1)]), (0, 1)), path_graph(3))
     assert are_isomorphic(subdivide_edge(cycle_graph(3), (1, 2)), cycle_graph(4))

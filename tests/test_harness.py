@@ -70,9 +70,13 @@ def test_class_counts_match_known_sequence():
         enumerate_graph_class_masks(8)
 
 
-def test_class_representatives_are_canonical_and_distinct():
-    reps = enumerate_graph_class_masks(4)
-    graphs = [from_edge_mask(4, m) for m in reps]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_representatives_are_canonical_and_distinct(n):
+    reps = enumerate_graph_class_masks(n)
+    # the definition: the canonical masks of all labeled graphs, ascending
+    every_mask = range(1 << (n * (n - 1) // 2))
+    assert reps == sorted({canonical_edge_mask(from_edge_mask(n, m)) for m in every_mask})
+    graphs = [from_edge_mask(n, m) for m in reps]
     for g, m in zip(graphs, reps):
         assert canonical_edge_mask(g) == m
     for a, b in itertools.combinations(graphs, 2):

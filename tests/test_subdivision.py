@@ -427,3 +427,29 @@ def test_connected_sets_grow_past_the_recursion_limit():
     allowed = ((1 << n) - 1) & ~1
     sets = subdivision._connected_sets(path_graph(n), 0, allowed, n)
     assert sum(1 for _ in sets) == n
+
+
+def _simple_paths(g, a, b, blocked):
+    """Every simple a-b path whose interior avoids `blocked`, by brute force."""
+    out = []
+
+    def grow(path):
+        for w in g.adj[path[-1]]:
+            if w == b:
+                out.append((*path, b))
+            elif w not in path and not blocked >> w & 1:
+                grow((*path, w))
+
+    grow((a,))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=2, max_n=7), st.randoms(use_true_random=False))
+def test_iter_paths_yields_every_path_by_length_then_labels(g, rng):
+    # an edge a-b comes out before any search; _route_paths relies on the
+    # (length, lexicographic) order of the rest
+    a, b = rng.sample(range(g.n), 2)
+    blocked = rng.getrandbits(g.n)
+    got = list(subdivision._iter_paths(g, a, b, blocked))
+    assert got == sorted(_simple_paths(g, a, b, blocked), key=lambda p: (len(p), p))
