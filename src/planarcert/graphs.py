@@ -44,14 +44,16 @@ class Graph:
     `Graph.from_adjacency(adj, m)` takes sorted lists as they are.
 
     `adj` lists each vertex's neighbors in ascending order.  The edge set,
-    the per-vertex neighbor bitmasks (n bits each), the components and
-    the hash are built on first use: the certificate audit reads only
-    `adj` and the components, only the small-graph searches read the
-    masks, and building the masks for a large graph costs O(n * m / 64).
+    the per-vertex neighbor bitmasks (n bits each), the components, the
+    isomorphism test's vertex profiles and the hash are built on first
+    use: the certificate audit reads only `adj` and the components, only
+    the small-graph searches read the masks, and building the masks for a
+    large graph costs O(n * m / 64).
     """
 
     __slots__ = (
-        "n", "num_edges", "adj", "_edges", "_adj_mask", "_components", "_hash"
+        "n", "num_edges", "adj", "_edges", "_adj_mask", "_components",
+        "_profiles", "_hash",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
@@ -88,6 +90,7 @@ class Graph:
         self._edges: frozenset[Edge] | None = None
         self._adj_mask: tuple[int, ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
+        self._profiles: list[tuple[int, tuple[int, ...]]] | None = None
         self._hash: int | None = None
 
     @property
@@ -438,10 +441,15 @@ def smooth(g: Graph) -> tuple[Graph, VertexMap]:
 
 
 def _vertex_profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    degs = [len(nbrs) for nbrs in g.adj]
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in g.adj[v]))) for v in range(g.n)
-    ]
+    """(degree, sorted neighbor degrees) of every vertex, built once per
+    graph: a fixed graph such as `lemmas`' K5 is compared many times."""
+    profiles = g._profiles
+    if profiles is None:
+        degs = [len(nbrs) for nbrs in g.adj]
+        profiles = g._profiles = [
+            (degs[v], tuple(sorted(degs[u] for u in g.adj[v]))) for v in range(g.n)
+        ]
+    return profiles
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -36,7 +36,7 @@ from .subdivision import (
     Pattern,
     find_kuratowski,
     find_subdivision,
-    lift_certificate,
+    lift_through_contraction,
     validate_subdivision,
 )
 
@@ -345,13 +345,13 @@ def _lifting_judgement(g: Graph) -> Judgement:
     planar_contractions = lifted_count = 0
     ok = True
     for x, y in g.sorted_edges():
-        contracted, _, _ = contract_edge(g, (x, y))
-        cert = find_kuratowski(contracted)
+        contraction = contract_edge(g, (x, y))
+        cert = find_kuratowski(contraction[0])
         if cert is None:
             planar_contractions += 1
             continue
         lifted_count += 1
-        lifted = lift_certificate(g, x, y, cert)
+        lifted = lift_through_contraction(g, x, y, contraction, cert)
         if not validate_subdivision(g, lifted):
             ok = False
         if cert.pattern is Pattern.K33 and lifted.pattern is not Pattern.K33:

@@ -27,6 +27,7 @@ from .errors import InternalInconsistencyError
 from .graphs import (
     Edge,
     Graph,
+    VertexMap,
     complete_bipartite,
     complete_graph,
     contract_edge,
@@ -263,33 +264,35 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
         frontier = nxt
     if dist[a] < 0:
         return
-    free = bin(allowed & ((1 << n) - 1) & ~(1 << a) & ~(1 << b)).count("1")
+    free = (allowed & ((1 << n) - 1) & ~(1 << a) & ~(1 << b)).bit_count()
     adj = g.adj
-    path = [a]
-    visited = 1 << a
-
-    def walk(v: int, remaining: int):
-        nonlocal visited
-        for w in adj[v]:
-            if w == b:
-                if remaining == 1:
-                    path.append(b)
-                    yield tuple(path)
-                    path.pop()
-            elif (
-                remaining > 1
-                and allowed >> w & 1
-                and not visited >> w & 1
-                and 0 <= dist[w] <= remaining - 1
-            ):
-                path.append(w)
-                visited |= 1 << w
-                yield from walk(w, remaining - 1)
-                visited &= ~(1 << w)
-                path.pop()
-
     for length in range(max(dist[a], shortest), free + 2):
-        yield from walk(a, length)
+        # depth-first over the neighbor lists, one iterator per path vertex,
+        # on an explicit stack so path length is not capped by recursion
+        path = [a]
+        visited = 1 << a
+        stack = [iter(adj[a])]
+        while stack:
+            remaining = length + 1 - len(path)  # edges still to take
+            for w in stack[-1]:
+                if w == b:
+                    if remaining == 1:
+                        path.append(b)
+                        yield tuple(path)
+                        path.pop()
+                elif (
+                    remaining > 1
+                    and allowed >> w & 1
+                    and not visited >> w & 1
+                    and 0 <= dist[w] < remaining
+                ):
+                    path.append(w)
+                    visited |= 1 << w
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                visited &= ~(1 << path.pop())
 
 
 def _route_paths(
@@ -417,6 +420,29 @@ _SEED_ABOVE = {
 }
 
 
+def _edge_reserves(pattern: Pattern) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per position of the minor order: (q, k) for each pattern vertex q
+    placed by then that has k > 0 pattern edges to vertices still unplaced
+    (theta's parallel strands counted once each)."""
+    order = _MINOR_ORDER[pattern]
+    out = []
+    for idx in range(len(order)):
+        rest = order[idx + 1 :]
+        reserves = []
+        for q in order[: idx + 1]:
+            k = sum(
+                (pi == q and pj in rest) or (pj == q and pi in rest)
+                for pi, pj in pattern.edge_list
+            )
+            if k:
+                reserves.append((q, k))
+        out.append(tuple(reserves))
+    return tuple(out)
+
+
+_EDGE_RESERVE = {pattern: _edge_reserves(pattern) for pattern in Pattern}
+
+
 def _connected_sets(g: Graph, seed: int, allowed: int, max_size: int):
     """Bitmasks of connected sets containing seed, each exactly once.
 
@@ -425,6 +451,7 @@ def _connected_sets(g: Graph, seed: int, allowed: int, max_size: int):
     at a time, in ascending order; each candidate, once its branch is
     done, is forbidden to the sets grown after it.  The growth runs on an
     explicit stack, so the set size is not capped by the recursion limit.
+    `max_size` must be at least 1: below that the growth has no cap.
     """
     adj_mask = g.adj_mask
     s_mask = 1 << seed
@@ -458,15 +485,36 @@ def find_minor(
     adjacent unused vertices, adjacency constraints checked as parts are
     placed.
 
+    Two reserves prune branches that cannot complete.  Neither changes
+    the order in which sets are tried, and each cuts only placements that
+    no completion extends, so the first certificate found is the one the
+    unpruned search finds.
+
+    - Vertex reserve: a connected set of k vertices in a graph of maximum
+      degree D has at most k(D - 2) + 2 edges leaving it, so a pattern
+      vertex of degree d needs a set of at least kmin = ceil((d - 2) /
+      (D - 2)) vertices (and none fits when D <= 2).  The set being grown
+      is capped at the free vertices less kmin for every set still to
+      place, and a cap below its own kmin fails at once.
+    - Edge reserve: once a set is placed, every placed set must keep at
+      least as many edges into the free vertices as it has pattern edges
+      to the sets still to place, which can only use free vertices.
+
     Each connected set tried costs `budget` one step; exceeding it raises
     SearchBudgetExceeded.  Without a budget the search is unbounded.
     """
     bc = pattern.branch_count
-    if g.n < bc or g.num_edges < len(pattern.edge_list):
+    n = g.n
+    if n < bc or g.num_edges < len(pattern.edge_list):
+        return None
+    max_deg = max(map(len, g.adj))
+    if max_deg <= 2:
         return None
     order = _MINOR_ORDER[pattern]
     seed_above = _SEED_ABOVE[pattern]
+    edge_reserve = _EDGE_RESERVE[pattern]
     edge_list = pattern.edge_list
+    strands = 3 if pattern is Pattern.THETA else 1  # crossing edges per set pair
     adj_mask = g.adj_mask
     pat_deg = [0] * bc
     pat_nbrs: list[list[int]] = [[] for _ in range(bc)]
@@ -475,70 +523,57 @@ def find_minor(
         pat_deg[pj] += 1
         pat_nbrs[pi].append(pj)
         pat_nbrs[pj].append(pi)
+    kmin = [max(1, (d - 2 + max_deg - 3) // (max_deg - 2)) for d in pat_deg]
+    # vertices the sets after each position of the order need at least
+    reserve_after = [0] * bc
+    for idx in range(bc - 2, -1, -1):
+        reserve_after[idx] = reserve_after[idx + 1] + kmin[order[idx + 1]]
 
     placed_mask = [0] * bc  # branch set of each pattern vertex, as bitmask
     seeds = [-1] * bc
-    all_bits = (1 << g.n) - 1
-
-    def boundary_ok(s_mask: int, need: int) -> bool:
-        # edges leaving the set must number at least the pattern degree
-        out = 0
-        m = s_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            out += bin(adj_mask[v] & ~s_mask).count("1")
-            if out >= need:
-                return True
-        return False
-
-    def cross_count(a_mask: int, b_mask: int) -> int:
-        total = 0
-        m = a_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            total += bin(adj_mask[v] & b_mask).count("1")
-        return total
+    all_bits = (1 << n) - 1
 
     def place(idx: int, used: int) -> bool:
         if idx == bc:
             return True
         p = order[idx]
-        remaining_after = bc - idx - 1
+        max_size = n - used.bit_count() - reserve_after[idx]
+        if max_size < kmin[p]:
+            return False
         min_seed = 0
         if p in seed_above:
             min_seed = seeds[seed_above[p]] + 1
         free = all_bits & ~used
-        max_size = g.n - bin(used).count("1") - remaining_after
+        need = pat_deg[p]
         placed_nbrs = [q for q in pat_nbrs[p] if placed_mask[q]]
-        theta_pair = pattern is Pattern.THETA and idx == 1
-        for seed in range(min_seed, g.n):
-            if not free >> seed & 1:
-                continue
-            allowed = free & ~((1 << seed) - 1) & ~(1 << seed)
-            for s_mask in _connected_sets(g, seed, allowed, max_size):
+        reserves = edge_reserve[idx]
+        seed_bits = free >> min_seed << min_seed
+        while seed_bits:
+            low = seed_bits & -seed_bits
+            seed_bits ^= low
+            seed = low.bit_length() - 1
+            # seed_bits now holds the free vertices above the seed
+            for s_mask in _connected_sets(g, seed, seed_bits, max_size):
                 if budget is not None:
                     budget.tick()
-                if not boundary_ok(s_mask, pat_deg[p]):
+                if not _edges_at_least(adj_mask, s_mask, ~s_mask, need):
                     continue
-                ok = True
-                for q in placed_nbrs:
-                    if theta_pair:
-                        if cross_count(s_mask, placed_mask[q]) < 3:
-                            ok = False
-                            break
-                    elif not _masks_adjacent(adj_mask, s_mask, placed_mask[q]):
-                        ok = False
-                        break
-                if not ok:
+                if any(
+                    not _edges_at_least(adj_mask, s_mask, placed_mask[q], strands)
+                    for q in placed_nbrs
+                ):
                     continue
                 placed_mask[p] = s_mask
-                seeds[p] = seed
-                if place(idx + 1, used | s_mask):
-                    return True
+                still_free = free & ~s_mask
+                if all(
+                    _edges_at_least(adj_mask, placed_mask[q], still_free, k)
+                    for q, k in reserves
+                ):
+                    seeds[p] = seed
+                    if place(idx + 1, used | s_mask):
+                        return True
+                    seeds[p] = -1
                 placed_mask[p] = 0
-                seeds[p] = -1
         return False
 
     if not place(0, 0):
@@ -568,12 +603,15 @@ def find_minor(
     return MinorCertificate(pattern, sets, tuple(cross))
 
 
-def _masks_adjacent(adj_mask, a_mask: int, b_mask: int) -> bool:
+def _edges_at_least(adj_mask, a_mask: int, b_mask: int, k: int) -> bool:
+    """Do at least k edges join the vertices of a_mask to those of b_mask?"""
+    total = 0
     m = a_mask
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if adj_mask[v] & b_mask:
+        low = m & -m
+        m ^= low
+        total += (adj_mask[low.bit_length() - 1] & b_mask).bit_count()
+        if total >= k:
             return True
     return False
 
@@ -603,7 +641,20 @@ def lift_certificate(
     """
     if not g.has_edge(x, y):
         raise ValueError(f"({x}, {y}) is not an edge")
-    contracted, z, vmap = contract_edge(g, (x, y))
+    return lift_through_contraction(g, x, y, contract_edge(g, (x, y)), cert)
+
+
+def lift_through_contraction(
+    g: Graph,
+    x: int,
+    y: int,
+    contraction: tuple[Graph, int, VertexMap],
+    cert: SubdivisionCertificate,
+) -> SubdivisionCertificate:
+    """`lift_certificate` for a caller that already holds
+    `contraction = contract_edge(g, (x, y))` for an edge xy of g; the
+    certificate is still validated in the contracted graph first."""
+    contracted, z, vmap = contraction
     if not validate_subdivision(contracted, cert):
         raise ValueError("certificate does not validate in the contracted graph")
 
@@ -822,7 +873,7 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
 
     sets = [set(s) for s in cert.branch_sets]
     cur = g
-    steps: list[tuple[Graph, int, int]] = []
+    steps: list[tuple[Graph, Edge, tuple[Graph, int, VertexMap]]] = []
     for p in range(len(sets)):
         while len(sets[p]) > 1:
             edge = min(
@@ -831,8 +882,9 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
                 for v in cur.adj[u]
                 if v in sets[p]
             )
-            steps.append((cur, edge[0], edge[1]))
-            cur, _, vmap = contract_edge(cur, edge)
+            contraction = contract_edge(cur, edge)
+            steps.append((cur, edge, contraction))
+            cur, _, vmap = contraction
             sets = [{vmap[v] for v in s} for s in sets]  # type: ignore[misc]
 
     branch = tuple(next(iter(sets[p])) for p in range(len(sets)))
@@ -840,8 +892,8 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
         (branch[pi], branch[pj]) for pi, pj in cert.pattern.edge_list
     )
     lifted = SubdivisionCertificate(cert.pattern, branch, paths)
-    for graph_before, cx, cy in reversed(steps):
-        lifted = lift_certificate(graph_before, cx, cy, lifted)
+    for graph_before, (cx, cy), contraction in reversed(steps):
+        lifted = lift_through_contraction(graph_before, cx, cy, contraction, lifted)
     return lifted
 
 

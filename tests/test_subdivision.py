@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,17 @@ from planarcert.graphs import (
     complete_bipartite,
     complete_graph,
     contract_edge,
+    cube_graph,
     cycle_graph,
+    delete_vertex,
     enumerate_labeled_graphs,
+    from_edge_mask,
+    normalize_edge,
     path_graph,
     petersen_graph,
     subdivide_edge,
 )
+from planarcert.harness import enumerate_graph_class_masks, make_rng, random_cubic_graph
 from planarcert.subdivision import (
     MinorCertificate,
     Pattern,
@@ -453,3 +460,127 @@ def test_iter_paths_yields_every_path_by_length_then_labels(g, rng):
     blocked = rng.getrandbits(g.n)
     got = list(subdivision._iter_paths(g, a, b, blocked))
     assert got == sorted(_simple_paths(g, a, b, blocked), key=lambda p: (len(p), p))
+
+
+def test_iter_paths_follow_paths_past_the_recursion_limit():
+    # the recursive walk raised RecursionError about 1,000 vertices deep
+    n = 1500
+    assert next(subdivision._iter_paths(path_graph(n), 0, n - 1, 0)) == tuple(range(n))
+    n = 2500
+    g = Graph(n, list(cycle_graph(n).edges) + [(0, n // 2)])
+    cert = find_subdivision(g, Pattern.THETA)
+    assert cert is not None and validate_subdivision(g, cert)
+    assert cert.branch == (0, n // 2)
+    assert sorted(map(len, cert.paths)) == [2, n // 2 + 1, n // 2 + 1]
+
+
+def _reference_find_minor(g, pattern, budget):
+    # find_minor before its vertex and edge reserves, kept as the reference
+    # for the certificates and steps of the pruned search
+    bc = pattern.branch_count
+    if g.n < bc or g.num_edges < len(pattern.edge_list):
+        return None
+    order = subdivision._MINOR_ORDER[pattern]
+    seed_above = subdivision._SEED_ABOVE[pattern]
+    adj_mask = g.adj_mask
+    pat_deg = [0] * bc
+    pat_nbrs = [[] for _ in range(bc)]
+    for pi, pj in pattern.edge_list:
+        pat_deg[pi] += 1
+        pat_deg[pj] += 1
+        pat_nbrs[pi].append(pj)
+        pat_nbrs[pj].append(pi)
+    placed_mask = [0] * bc
+    seeds = [-1] * bc
+    all_bits = (1 << g.n) - 1
+
+    def edges_between(a_mask, b_mask):
+        return sum((adj_mask[v] & b_mask).bit_count() for v in subdivision._mask_bits(a_mask))
+
+    def place(idx, used):
+        if idx == bc:
+            return True
+        p = order[idx]
+        min_seed = seeds[seed_above[p]] + 1 if p in seed_above else 0
+        free = all_bits & ~used
+        max_size = g.n - used.bit_count() - (bc - idx - 1)
+        placed_nbrs = [q for q in pat_nbrs[p] if placed_mask[q]]
+        theta_pair = pattern is Pattern.THETA and idx == 1
+        for seed in range(min_seed, g.n):
+            if not free >> seed & 1:
+                continue
+            allowed = free & ~((1 << (seed + 1)) - 1)
+            for s_mask in subdivision._connected_sets(g, seed, allowed, max_size):
+                budget.tick()
+                if edges_between(s_mask, ~s_mask) < pat_deg[p]:
+                    continue
+                need = 3 if theta_pair else 1
+                if any(edges_between(s_mask, placed_mask[q]) < need for q in placed_nbrs):
+                    continue
+                placed_mask[p] = s_mask
+                seeds[p] = seed
+                if place(idx + 1, used | s_mask):
+                    return True
+                placed_mask[p] = 0
+                seeds[p] = -1
+        return False
+
+    if not place(0, 0):
+        return None
+    sets = tuple(frozenset(subdivision._mask_bits(m)) for m in placed_mask)
+    cross = []
+    for pi, pj in pattern.edge_list:
+        cross.append(next(
+            normalize_edge(u, v)
+            for u in sorted(sets[pi])
+            for v in sorted(sets[pj])
+            if g.has_edge(u, v) and normalize_edge(u, v) not in cross
+        ))
+    return MinorCertificate(pattern, sets, tuple(cross))
+
+
+def _sweep_cubic_graphs():
+    # the cubic graphs of the benchmark sweep's menger-cubic calls: four
+    # seeds drawn from random.Random(0), three graphs each, sizes 8, 10, 12
+    seeds = random.Random(0)
+    for _ in range(4):
+        rng = make_rng(seeds.randrange(2**31))
+        for n in (8, 10, 12):
+            yield random_cubic_graph(n, rng)
+
+
+def _steps(search, g, pattern):
+    budget = StepBudget(10**12)
+    cert = search(g, pattern, budget)
+    return cert, 10**12 - budget.remaining
+
+
+def test_pruned_minor_search_finds_the_reference_certificate_in_no_more_steps():
+    hosts = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+    hosts += [from_edge_mask(6, mask) for mask in enumerate_graph_class_masks(6)]
+    hosts += [petersen_graph(), *_sweep_cubic_graphs()]
+    total_ref = total = 0
+    for g in hosts:
+        for pattern in Pattern:
+            want, ref_steps = _steps(_reference_find_minor, g, pattern)
+            got, steps = _steps(find_minor, g, pattern)
+            assert got == want, (g, pattern)
+            assert steps <= ref_steps, (g, pattern)
+            total_ref += ref_steps
+            total += steps
+    assert total < total_ref
+
+
+def test_minor_search_spends_nothing_where_no_branch_sets_fit():
+    rng = make_rng(0)
+    cubic = [complete_graph(4), complete_bipartite(3, 3), cube_graph()]
+    cubic += [random_cubic_graph(n, rng) for n in (4, 6, 8) for _ in range(3)]
+    # with no degree above 3, K5 needs five sets of two vertices each: on
+    # nine vertices the first set is capped at one vertex
+    for g in [*cubic, delete_vertex(petersen_graph(), 0)[0]]:
+        assert _steps(find_minor, g, Pattern.K5) == (None, 0), g
+    for n in range(3, 13):
+        for pattern in Pattern:
+            assert _steps(find_minor, cycle_graph(n), pattern) == (None, 0)
+    for n in range(1, 13):
+        assert _steps(find_minor, path_graph(n), Pattern.THETA) == (None, 0)
