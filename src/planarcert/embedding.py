@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, SearchBudgetExceeded
-from .graphs import Graph, normalize_edge
+from .graphs import Edge, Graph, normalize_edge
 from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 
 Dart = tuple[int, int]
@@ -530,10 +530,36 @@ def lr_planar_rotation(
     stores it.  The result is not self-certifying: callers confirm genus 0
     by tracing its faces.
     """
-    n, adj = g.n, g.adj
-    m = g.num_edges
-    if n >= 3 and m > 3 * n - 6:
+    cycles, _ = _left_right(g.adj, g.num_edges, node_budget)
+    if cycles is None:
         return None
+    return RotationSystem.from_canonical(cycles)
+
+
+def _left_right(
+    adj: Sequence[Sequence[int]],
+    m: int,
+    node_budget: int | StepBudget | None = None,
+) -> tuple[tuple[tuple[int, ...], ...] | None, list[Edge]]:
+    """The left-right test of lr_planar_rotation on the graph with m edges
+    whose vertex v has the neighbors adj[v], in any order.
+
+    Returns (cycles, []) for a planar graph, cycles[v] being v's cyclic
+    order of neighbors from adj[v][0], the neighbor the DFS examined
+    first.  Returns (None, failure) for a non-planar one: the DFS tree
+    edges, then the back edges of the conflict the test failed on, as
+    (u, v) pairs.  Those back edges are the interval ends of the conflict
+    pairs on the stack and of the two pairs being merged, and the lowest
+    return edges of the two edges whose constraints clashed and of every
+    tree edge on the current DFS path.  The failure is recorded only where
+    the test fails, so a planar run pays nothing for it, and it is a hint,
+    not a certificate: the subgraph it spans is often, not always,
+    non-planar.  A graph rejected for having more than 3n - 6 edges gets
+    an empty failure.
+    """
+    n = len(adj)
+    if n >= 3 and m > 3 * n - 6:
+        return None, []
     budget = _step_budget(node_budget)
 
     # -- phase 1: DFS orientation; edge ids in orientation order ----------
@@ -626,6 +652,19 @@ def lr_planar_rotation(
     side = [1] * m
     lowpt_edge = [-1] * m
     bottom: list[list[int] | None] = [None] * m
+    failed: list[int] = []  # back edges of the conflict the test fails on
+
+    def fail(p: list[int], q: list[int], ei: int, e: int) -> bool:
+        """Record the back edges of the conflict between ei's return edges
+        and those in p and q, and report the failure."""
+        failed.extend(p + q)
+        for pair in pairs:
+            failed.extend(pair)
+        failed.append(lowpt_edge[ei])
+        while e >= 0:
+            failed.append(lowpt_edge[e])
+            e = parent_edge[src[e]]
+        return False
 
     def add_constraints(ei: int, e: int) -> bool:
         p = [-1, -1, -1, -1]
@@ -635,7 +674,7 @@ def lr_planar_rotation(
             if q[0] >= 0:
                 q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
             if q[0] >= 0:
-                return False
+                return fail(p, q, ei, e)
             if lowpt[q[2]] > lowpt[e]:
                 if p[2] < 0:
                     p[3] = q[3]
@@ -660,7 +699,7 @@ def lr_planar_rotation(
             if right:
                 q[0], q[1], q[2], q[3] = q[2], right_hi, q[0], left_hi
                 if left_hi >= 0 and lowpt[left_hi] > low:
-                    return False
+                    return fail(p, q, ei, e)
             if p[2] >= 0:
                 ref[p[2]] = q[3]
             if q[2] >= 0:
@@ -717,6 +756,11 @@ def lr_planar_rotation(
             return True
         return add_constraints(ei, e)
 
+    def failure() -> list[Edge]:
+        tree = [(u, v) for v, u in enumerate(parent) if u >= 0]
+        back = sorted({e for e in failed if e >= 0})
+        return tree + [(src[e], dst[e]) for e in back]
+
     for r in roots:
         stack = [(r, iter(out[r]))]
         while stack:
@@ -730,7 +774,7 @@ def lr_planar_rotation(
                 lowpt_edge[ei] = ei
                 pairs.append([-1, -1, ei, ei])
                 if not integrate(v, ei, ei == out[v][0]):
-                    return None
+                    return None, failure()
             else:
                 stack.pop()
                 e = parent_edge[v]
@@ -739,7 +783,7 @@ def lr_planar_rotation(
                         trim_back_edges(e)
                     u = src[e]
                     if not integrate(u, e, e == out[u][0]):
-                        return None
+                        return None, failure()
 
     # -- phase 3: absolute sides -------------------------------------------
     for e in range(m):
@@ -810,9 +854,9 @@ def lr_planar_rotation(
     head[::2] = dst
     head[1::2] = src
     # each ring holds every dart of its vertex once, so no cycle repeats a
-    # neighbor.  Each cycle starts at the vertex's smallest neighbor, the
-    # one the DFS examined first: v's parent, or else the far end of the
-    # first edge oriented away from v, which has the smallest id in out[v]
+    # neighbor.  Each cycle starts at adj[v][0], the neighbor the DFS
+    # examined first: v's parent, or else the far end of the first edge
+    # oriented away from v, which has the smallest id in out[v]
     orders: list[tuple[int, ...]] = []
     for v, nbrs in enumerate(adj):
         if not nbrs:
@@ -828,7 +872,7 @@ def lr_planar_rotation(
             cyc.append(head[d])
             d = cw[d]
         orders.append(tuple(cyc))
-    return RotationSystem.from_canonical(tuple(orders))
+    return tuple(orders), []
 
 
 # ---------------------------------------------------------------------------
@@ -836,41 +880,51 @@ def lr_planar_rotation(
 # ---------------------------------------------------------------------------
 
 
-def _biconnected_components(nbr: dict[int, dict[int, int]]) -> list[list[int]]:
+def _biconnected_components(
+    nbr: Sequence[dict[int, int] | None],
+) -> list[list[int]]:
     """The edge ids of each biconnected component of the graph whose vertex
-    v has nbr[v] = {neighbor: edge id}, found by Hopcroft and Tarjan's
-    lowpoint search on explicit stacks in O(V + E)."""
-    depth: dict[int, int] = {}
-    low: dict[int, int] = {}
+    v has nbr[v] = {neighbor: edge id}, or None when v is not in the graph,
+    found by Hopcroft and Tarjan's lowpoint search on explicit stacks in
+    O(V + E)."""
+    depth = [-1] * len(nbr)
+    low = [0] * len(nbr)
     comps: list[list[int]] = []
-    for root in nbr:
-        if root in depth:
+    for root in range(len(nbr)):
+        around = nbr[root]
+        if around is None or depth[root] >= 0:
             continue
-        depth[root] = low[root] = 0
+        depth[root] = 0
         edges: list[int] = []  # tree and back edges not yet in a component
-        stack = [(root, -1, iter(nbr[root].items()))]
+        # per vertex on the DFS path: the tree edge into it, that edge's
+        # place in `edges`, and the neighbors it has still to examine
+        stack = [(root, -1, 0, iter(around.items()))]
         while stack:
-            v, into, todo = stack[-1]
+            v, into, at, todo = stack[-1]
+            dv = depth[v]
             for w, e in todo:
-                if w not in depth:
-                    depth[w] = low[w] = depth[v] + 1
+                dw = depth[w]
+                if dw < 0:
+                    depth[w] = low[w] = dv + 1
+                    stack.append((w, e, len(edges), iter(nbr[w].items())))
                     edges.append(e)
-                    stack.append((w, e, iter(nbr[w].items())))
                     break
-                if depth[w] < depth[v] and e != into:  # back edge
+                if dw < dv and e != into:  # back edge
                     edges.append(e)
-                    low[v] = min(low[v], depth[w])
+                    if dw < low[v]:
+                        low[v] = dw
             else:
                 stack.pop()
                 if not stack:
                     continue
                 u = stack[-1][0]
                 if low[v] >= depth[u]:  # u cuts v's subtree off
-                    comp = []
-                    while not comp or comp[-1] != into:
-                        comp.append(edges.pop())
+                    comp = edges[at:]
+                    comp.reverse()
                     comps.append(comp)
-                low[u] = min(low[u], low[v])
+                    del edges[at:]
+                elif low[v] < low[u]:
+                    low[u] = low[v]
     return comps
 
 
@@ -884,18 +938,27 @@ def lr_kuratowski(
     degree-1 vertices are pruned, each degree-2 vertex is suppressed into
     one chain edge, and a chain whose ends are already adjacent is dropped,
     since a parallel edge never changes planarity.  A graph is planar iff
-    each of its biconnected components is, so H is then cut down to the
-    first component the test rejects: a small obstruction joined to a
-    large planar part costs one test per component, not a deletion search
-    over the whole graph.  Blocks of about a quarter of H's edges, drawn
-    from a shuffled queue, are deleted while the test still rejects what
-    remains, and H is re-reduced around every deletion.  A block H cannot
-    lose is halved, and each half is tested in turn.  A single edge H
-    cannot lose stays, and so does any chain suppression builds through
-    it: every later H is a subgraph of a subdivision of the one that
-    needed it.  Extraction stops
-    when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9 edges:
-    minimum degree 3 makes H cubic, and the other cubic graph on 6
+    each of its biconnected components is, so the components of H are
+    tested in turn until one is rejected.
+
+    The rejecting test also reports where it failed: its DFS tree and the
+    back edges of the conflict it could not resolve (Brandes 2009, sec.
+    3-4).  The first deletion block is every H edge outside that failure
+    set.  It is deleted, and H re-reduced around it, if the test still
+    rejects what is left; the tree then collapses into the chains of a
+    few fundamental cycles, so the rest of the search runs on a small H.
+    The failure set is a hint, not a proof: if the test accepts what is
+    left, H is left as it was, cut down to the rejected component, and the
+    extraction goes on exactly as it would without the hint.
+
+    Blocks of about a quarter of H's edges, drawn from a shuffled queue,
+    are then deleted while the test still rejects what remains, and H is
+    re-reduced around every deletion.  A block H cannot lose is halved,
+    and each half is tested in turn.  A single edge H cannot lose stays,
+    and so does any chain suppression builds through it: every later H is
+    a subgraph of a subdivision of the one that needed it.  Extraction
+    stops when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9
+    edges: minimum degree 3 makes H cubic, and the other cubic graph on 6
     vertices, the prism, is planar).  The certificate expands the chains
     back into paths of g and must pass validate_subdivision.
 
@@ -909,93 +972,153 @@ def lr_kuratowski(
     budget = _step_budget(node_budget)
     # H: edge e joins ends[e][0] to ends[e][1]; an edge built by suppressing
     # vertex v has parts[e] = (edge from ends[e][0] to v, v, edge from v to
-    # ends[e][1]), an edge of g has parts[e] = None
-    nbr: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
+    # ends[e][1]), an edge of g has parts[e] = None.  nbr[v] maps each
+    # neighbor of v in H to the edge joining them, in the order the edges
+    # were made, and is None once v has left H
+    nbr: list[dict[int, int] | None] = [{} for _ in range(g.n)]
     ends: list[tuple[int, int]] = list(g.sorted_edges())
     parts: list[tuple[int, int, int] | None] = [None] * len(ends)
     for e, (u, v) in enumerate(ends):
         nbr[u][v] = nbr[v][u] = e
+    order = g.n  # vertices left in H
     alive = set(range(len(ends)))
     queue: deque[int] = deque()  # chain edges; the deletion puts g's in front
     kept: set[int] = set()  # edges H cannot lose
 
-    def remove(e: int) -> tuple[int, int]:
-        a, b = ends[e]
-        alive.discard(e)
-        del nbr[a][b], nbr[b][a]
-        return a, b
-
     def reduce(stack: list[int]) -> None:
+        nonlocal order
         while stack:
             v = stack.pop()
-            around = nbr.get(v)
+            around = nbr[v]
             if around is None or len(around) > 2:
                 continue
-            items = list(around.items())
-            for _, e in items:
-                remove(e)
-            del nbr[v]
-            if len(items) < 2:
-                stack.extend(w for w, _ in items)
+            nbr[v] = None
+            order -= 1
+            if len(around) < 2:
+                for w, e in around.items():
+                    alive.discard(e)
+                    del nbr[w][v]
+                    stack.append(w)
                 continue
-            (a, ea), (b, eb) = items
-            if b in nbr[a]:  # parallel chain: drop it
+            (a, ea), (b, eb) = around.items()
+            alive.discard(ea)
+            alive.discard(eb)
+            near, far = nbr[a], nbr[b]
+            del near[v], far[v]
+            if b in near:  # parallel chain: drop it
                 stack += (a, b)
                 continue
             e = len(ends)
             ends.append((a, b))
             parts.append((ea, v, eb))
-            nbr[a][b] = nbr[b][a] = e
+            near[b] = far[a] = e
             alive.add(e)
             if ea in kept or eb in kept:
                 kept.add(e)
             else:
                 queue.append(e)
 
-    def rejects(edges: Iterable[int]) -> bool:
-        """Whether the test rejects the graph of these H edges, relabeled
-        to compact ids."""
-        ids: dict[int, int] = {}
-        pairs = [
-            (ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
-            for a, b in map(ends.__getitem__, edges)
-        ]
-        return lr_planar_rotation(Graph(len(ids), pairs), budget) is None
+    def delete(block: Iterable[int]) -> None:
+        stack: list[int] = []
+        for e in block:
+            a, b = ends[e]
+            alive.discard(e)
+            del nbr[a][b], nbr[b][a]
+            stack += (a, b)
+        reduce(stack)
 
-    def rejected_without(block: list[int]) -> bool:
-        drop = set(block)
-        return rejects(e for e in alive if e not in drop)
+    def compact(edges: Iterable[int]) -> tuple[list[list[int]], list[Edge]]:
+        """The graph of these H edges relabeled to compact ids: its
+        neighbor lists, and the ends of each edge in the order given."""
+        ids: dict[int, int] = {}
+        adj: list[list[int]] = []
+        pairs: list[Edge] = []
+        for a, b in map(ends.__getitem__, edges):
+            i = ids.get(a)
+            if i is None:
+                i = ids[a] = len(adj)
+                adj.append([])
+            j = ids.get(b)
+            if j is None:
+                j = ids[b] = len(adj)
+                adj.append([])
+            adj[i].append(j)
+            adj[j].append(i)
+            pairs.append((i, j))
+        return adj, pairs
+
+    def rejects(edges: Iterable[int]) -> bool:
+        """Whether the test rejects the graph of these H edges."""
+        adj, pairs = compact(edges)
+        return _left_right(adj, len(pairs), budget)[0] is None
+
+    def failure_of(edges: list[int]) -> set[int] | None:
+        """None if the test accepts the graph of these H edges, else the
+        H edges of the failure it reports."""
+        adj, pairs = compact(edges)
+        cycles, failed = _left_right(adj, len(pairs), budget)
+        if cycles is not None:
+            return None
+        edge_at = dict(zip(pairs, edges))
+        edge_at.update(zip([(j, i) for i, j in pairs], edges))
+        return set(map(edge_at.__getitem__, failed))
+
+    def localise(hint: set[int]) -> bool:
+        """Delete every H edge outside hint, and re-reduce, if the test
+        still rejects what is left; else leave H as it was.  The deletion
+        runs on copies, so a refused hint leaves no trace in H.  An empty
+        hint (the test rejected on edge count alone), or one that leaves
+        out less than the deletion's first block would, is not tried."""
+        nonlocal nbr, alive, kept, queue, order
+        before = nbr, alive, kept, queue, order, len(ends)
+        block = [e for e in alive if e not in hint]
+        if not hint or len(block) < max(1, len(alive) // 4):
+            return False
+        nbr = [None if around is None else around.copy() for around in nbr]
+        alive, kept, queue = set(alive), set(kept), deque(queue)
+        delete(block)
+        if rejects(alive):
+            return True
+        nbr, alive, kept, queue, order, made = before
+        del ends[made:], parts[made:]
+        return False
 
     def settled() -> bool:
-        return (len(nbr), len(alive)) in ((5, 10), (6, 9))
+        return (order, len(alive)) in ((5, 10), (6, 9))
 
     reduce(list(range(g.n)))
+    localised = False
     if not settled():
         # a graph is planar iff each of its biconnected components is, and
         # one with fewer than the 9 edges of K3,3 is: keep the first
         # component the test rejects
         for comp in _biconnected_components(nbr):
-            if len(comp) >= 9 and rejects(comp):
-                break
+            if len(comp) >= 9:
+                hint = failure_of(comp)
+                if hint is not None:
+                    break
         else:
             raise InternalInconsistencyError(
                 "left-right test accepts the graph: no obstruction to extract"
             )
-        if len(comp) < len(alive):
+        localised = localise(hint)
+        if not localised and len(comp) < len(alive):
             inside = set(comp)
-            touched: list[int] = []
-            for e in [e for e in alive if e not in inside]:
-                touched += remove(e)
-            reduce(touched)
+            delete([e for e in alive if e not in inside])
     if not settled():
         # a shuffled queue scatters each block over H: edges with nearby
         # labels are often nearby in the graph, and deleting such a band
         # tends to cut every obstruction at once.  Reduction alone settles
         # many graphs, so the shuffle waits until the deletion needs it;
         # g's edges go ahead of the chains reduction has built so far.
-        order = list(range(g.num_edges))
-        random.Random(0).shuffle(order)
-        queue.extendleft(reversed(order))
+        # Once localised, H keeps only a few of g's edges: just those are
+        # shuffled
+        if localised:
+            shuffled = sorted(e for e in alive if e < g.num_edges)
+        else:
+            shuffled = list(range(g.num_edges))
+        random.Random(0).shuffle(shuffled)
+        queue.extendleft(reversed(shuffled))
     halves: list[list[int]] = []  # of blocks H could not lose, next on top
     while not settled():
         if halves:
@@ -1011,11 +1134,9 @@ def lr_kuratowski(
                     block.append(e)
             if not block:
                 break
-        if rejected_without(block):
-            stack: list[int] = []
-            for e in block:
-                stack += remove(e)
-            reduce(stack)
+        drop = set(block)
+        if rejects(e for e in alive if e not in drop):
+            delete(block)
         elif len(block) == 1:
             kept.add(block[0])
         else:
@@ -1023,27 +1144,29 @@ def lr_kuratowski(
             halves += (block[half:], block[:half])
     if not settled():
         raise InternalInconsistencyError(
-            f"extraction ended with {len(nbr)} vertices and {len(alive)} "
+            f"extraction ended with {order} vertices and {len(alive)} "
             "edges, neither K5 nor K3,3"
         )
 
     def expand(e: int, start: int) -> tuple[int, ...]:
-        """The path of g that H edge e stands for, from its end `start`."""
+        """The path of g that H edge e stands for, from its end `start`.
+        The edges on the stack are walked in path order, so each starts
+        at the path's last vertex."""
         path = [start]
-        todo = [(e, start)]
+        todo = [e]
         while todo:
-            e, u = todo.pop()
-            a, b = ends[e]
+            e = todo.pop()
             split = parts[e]
             if split is None:
-                path.append(b if u == a else a)
-            elif u == a:
-                todo += ((split[2], split[1]), (split[0], a))
+                a, b = ends[e]
+                path.append(b if path[-1] == a else a)
+            elif path[-1] == ends[e][0]:
+                todo += (split[2], split[0])
             else:
-                todo += ((split[0], split[1]), (split[2], b))
+                todo += (split[0], split[2])
         return tuple(path)
 
-    verts = sorted(nbr)
+    verts = [v for v, around in enumerate(nbr) if around is not None]
     if len(verts) == 5:
         pattern, branch = Pattern.K5, tuple(verts)
     else:  # one side of K3,3 is the neighborhood of any branch vertex

@@ -11,8 +11,10 @@ is reported as an internal inconsistency, never as a verdict.
 
 The face trace that confirms genus 0 checks the rotation against the graph
 and yields the faces and Euler data a planar document records, so it is
-also the audit of that document: `check --validate` traces a planar
-embedding once, here, and audits only a certificate again.
+also the audit of that document.  Both certifying routes run
+validate_subdivision on their certificate before decide returns it, which
+is the audit of a non-planar document.  So `check --validate` audits
+either answer once, here, and not again.
 
 The subdivision search, the minor search and the backtracking embedding
 search stay as independent oracles: route_bits confronts all four routes

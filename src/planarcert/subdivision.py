@@ -195,9 +195,13 @@ def _is_connected_subset(g: Graph, s: frozenset[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _all_pairs_distances(g: Graph) -> list[list[int | None]]:
-    dist: list[list[int | None]] = []
-    for src in range(g.n):
+def _distances_from(
+    g: Graph, sources: list[int]
+) -> dict[int, list[int | None]]:
+    """The BFS distance from each source to every vertex, None where
+    unreachable."""
+    dist: dict[int, list[int | None]] = {}
+    for src in sources:
         row: list[int | None] = [None] * g.n
         row[src] = 0
         frontier = [src]
@@ -211,7 +215,7 @@ def _all_pairs_distances(g: Graph) -> list[list[int | None]]:
                         row[w] = d
                         nxt.append(w)
             frontier = nxt
-        dist.append(row)
+        dist[src] = row
     return dist
 
 
@@ -248,7 +252,8 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
         shortest = 2
     n = g.n
     allowed = ~blocked
-    # BFS from b over allowed vertices for distance pruning
+    # BFS from b over allowed vertices for distance pruning.  a gets its
+    # distance but is not passed through, since no path revisits it
     dist = [-1] * n
     dist[b] = 0
     frontier = [b]
@@ -258,9 +263,12 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
         nxt = []
         for v in frontier:
             for w in g.adj[v]:
-                if dist[w] < 0 and (w == a or allowed >> w & 1):
-                    dist[w] = d
-                    nxt.append(w)
+                if dist[w] < 0:
+                    if w == a:
+                        dist[w] = d
+                    elif allowed >> w & 1:
+                        dist[w] = d
+                        nxt.append(w)
         frontier = nxt
     if dist[a] < 0:
         return
@@ -299,7 +307,7 @@ def _route_paths(
     g: Graph,
     pattern: Pattern,
     branch: tuple[int, ...],
-    dist: list[list[int | None]],
+    dist: dict[int, list[int | None]],
 ) -> tuple[tuple[int, ...], ...] | None:
     """Vertex-disjoint routing of all pattern edges, or None."""
     edge_list = pattern.edge_list
@@ -367,7 +375,8 @@ def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | Non
     candidates = [v for v in range(g.n) if len(g.adj[v]) >= need_deg]
     if len(candidates) < bc or g.num_edges < len(pattern.edge_list):
         return None
-    dist = _all_pairs_distances(g)
+    # branch vertices are candidates, so only their distances are read
+    dist = _distances_from(g, candidates)
     free_budget = g.n - bc
     for branch in _branch_assignments(pattern, candidates):
         need = 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planarcert import cli, documents, embedding, planarity
+from planarcert import cli, documents, embedding, planarity, subdivision
 from planarcert.cli import build_parser, main
 from planarcert.documents import (
     DocumentError,
@@ -37,8 +37,10 @@ from planarcert.graphs import (
     cube_graph,
     path_graph,
     petersen_graph,
+    subdivide_edge,
 )
 from planarcert.planarity import Verdict, decide
+from planarcert.subdivision import Pattern
 
 from conftest import graphs, grid_graph, k33_in_grid
 
@@ -419,14 +421,16 @@ def test_check_budget_bounds_the_minor_search(capsys, write):
 
 
 def test_check_budget_bounds_kuratowski_extraction(capsys, write):
-    # 1,743 edges: the decision alone fits in 5,000 steps, so the budget
-    # runs out in the extraction's tests, which draw on what is left
+    # 1,743 edges: the decision spends 1,743 steps, and the extraction's
+    # tests draw on what is left: 1,741 for the rejected component, then
+    # 20 for the H its failure set localises, then the deletion's tests
     g = k33_in_grid(30)
-    assert lr_planar_rotation(g, 5000) is None
+    assert lr_planar_rotation(g, 1743) is None
     path = write("k33grid.edges", format_edge_list(g))
-    code, _, err = run(capsys, ["check", path, "--budget", "5000"])
-    assert code == 3
-    assert "budget" in err
+    for budget in (3000, 1743 + 1741 + 19):
+        code, _, err = run(capsys, ["check", path, "--budget", str(budget)])
+        assert code == 3
+        assert "budget" in err
 
 
 def test_k33_in_grid_verdict_passes_certify(capsys, write):
@@ -505,6 +509,27 @@ def test_planar_check_validate_traces_its_faces_once(capsys, write, monkeypatch)
     code, out, _ = run(capsys, ["check", path, "--validate"])
     assert (code, calls) == (0, [64])
     assert json.loads(out)["euler"]["F"] == 2 * 7 * 7 + 1
+
+
+def test_nonplanar_check_validate_validates_its_certificate_once(
+    capsys, write, monkeypatch
+):
+    calls = []
+    real = subdivision.validate_subdivision
+
+    def counted(g, cert):
+        calls.append(cert.pattern)
+        return real(g, cert)
+
+    for module in (subdivision, embedding, planarity, documents):
+        monkeypatch.setattr(module, "validate_subdivision", counted)
+    k5 = complete_graph(5)
+    for e in ((0, 1), (2, 3), (1, 4)):
+        k5 = subdivide_edge(k5, e)
+    path = write("subk5.edges", format_edge_list(k5))
+    code, out, _ = run(capsys, ["check", path, "--validate"])
+    assert (code, calls) == (1, [Pattern.K5])
+    assert json.loads(out)["certificate"]["pattern"] == "K5"
 
 
 def test_certify_rejects_boolean_vertex_ids(capsys, write):
@@ -616,8 +641,8 @@ def test_check_and_certify_pause_the_collector_and_restore_it(
         seen.append(gc.isenabled())
         return real_decide(g, config)
 
-    # check --validate audits a planar answer with decide's own face trace
-    # and a non-planar one with verdict_doc_is_valid
+    # check --validate leaves both answers to decide's own audit, and
+    # only certify calls verdict_doc_is_valid
     monkeypatch.setattr(cli, "verdict_doc_is_valid", audit)
     monkeypatch.setattr(cli, "decide", decide_spy)
     broken = write("broken.json", '{"status": "nonplanar", "certificate": {}}')
@@ -639,7 +664,7 @@ def test_check_and_certify_pause_the_collector_and_restore_it(
             assert collector_state() == before, argv
     finally:
         gc.enable()
-    assert seen == [False] * 7  # 3 checks decide, 1 audits; 3 certifies audit
+    assert seen == [False] * 6  # 3 checks decide; 3 certifies audit
 
 
 def test_harness_runs_with_the_collector_on(capsys, monkeypatch):

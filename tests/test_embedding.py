@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planarcert import embedding
 from planarcert.embedding import (
     FaceSet,
     RotationSystem,
@@ -467,17 +468,59 @@ def test_lr_kuratowski_shuffles_only_when_deletion_starts(monkeypatch):
     cert = lr_kuratowski(k5)  # reduction alone leaves K5
     assert cert.pattern is Pattern.K5 and validate_subdivision(k5, cert)
     assert calls == []
+    # the test's failure set localises the K3,3, and only the 9 edges of
+    # g left in H after that are shuffled
     lr_kuratowski(k33_in_grid(4))
-    assert calls == [k33_in_grid(4).num_edges]
+    assert calls == [9]
 
 
 def test_lr_kuratowski_queue_puts_the_shuffled_edges_before_the_chains(monkeypatch):
-    # reduction suppresses the grid's boundary vertices into chain edges
-    # before the deletion starts; the certificate pins the queue order
-    # (the shuffled edge ids of g, then the chains in creation order)
+    # the test's failure set cuts H down to a few fundamental cycles, and
+    # reduction suppresses their vertices into chain edges before the
+    # deletion starts; the certificate pins the queue order (the shuffled
+    # ids of the 14 edges of g left in H, then the chains in creation order)
+    calls = _spied_shuffles(monkeypatch)
+    cert = lr_kuratowski(k33_in_grid(6))
+    assert calls == [14]
+    assert (cert.pattern, cert.branch) == (Pattern.K33, (3, 19, 24, 4, 18, 35))
+    assert cert.paths == (
+        (3, 4),
+        (3, 9, 15, 14, 8, 7, 13, 12, 18),
+        (3, 2, 1, 0, 35),
+        (19, 20, 21, 22, 23, 17, 16, 10, 4),
+        (19, 18),
+        (19, 25, 26, 27, 28, 29, 35),
+        (24, 11, 5, 4),
+        (24, 18),
+        (24, 30, 31, 32, 33, 34, 35),
+    )
+
+
+def _tree_only_failures(monkeypatch):
+    """Cut every failure the left-right test reports down to its DFS tree,
+    which is planar, so that lr_kuratowski never localises."""
+    real = embedding._left_right
+    tests = []
+
+    def tree_only(adj, m, budget=None):
+        cycles, failure = real(adj, m, budget)
+        tests.append(m)
+        return cycles, failure[: len(adj) - 1]
+
+    monkeypatch.setattr(embedding, "_left_right", tree_only)
+    return tests
+
+
+def test_lr_kuratowski_falls_back_on_a_planar_failure_set(monkeypatch):
+    # a refused hint leaves H as it was: the deletion runs on the whole
+    # rejected component and finds the same certificate as with no hint
+    tests = _tree_only_failures(monkeypatch)
     calls = _spied_shuffles(monkeypatch)
     cert = lr_kuratowski(k33_in_grid(6))
     assert calls == [63]
+    # the rejected component's test, then the hint's: reduction prunes
+    # the tree it leaves down to nothing
+    assert tests[:2] == [61, 0]
     assert (cert.pattern, cert.branch) == (Pattern.K33, (9, 31, 34, 10, 19, 32))
     assert cert.paths == (
         (9, 10),
@@ -490,6 +533,43 @@ def test_lr_kuratowski_queue_puts_the_shuffled_edges_before_the_chains(monkeypat
         (34, 35, 0, 1, 7, 13, 12, 18, 19),
         (34, 33, 27, 26, 32),
     )
+
+
+def test_left_right_reports_its_tree_and_the_failing_conflict():
+    # planar: the cycles and no failure
+    cycles, failure = embedding._left_right(cube_graph().adj, 12)
+    assert failure == [] and RotationSystem(cycles) == lr_planar_rotation(cube_graph())
+    # denser than 3n - 6: rejected with nothing to localise
+    assert embedding._left_right(complete_graph(5).adj, 10) == (None, [])
+    spans = []
+    for g in (complete_bipartite(3, 3), petersen_graph(),
+              _relabeled(k33_in_grid(12), random.Random(3)),
+              subdivide_edge(complete_graph(5), (0, 1))):
+        cycles, failure = embedding._left_right(g.adj, g.num_edges)
+        assert cycles is None
+        edges = [normalize_edge(u, v) for u, v in failure]
+        assert len(set(edges)) == len(edges) and set(edges) <= g.edges
+        # the DFS tree comes first and spans g
+        assert Graph(g.n, edges[: g.n - 1]).is_connected()
+        spans.append(lr_planar_rotation(Graph(g.n, edges)) is None)
+    # the failure is a hint: on the subdivided K5 it spans a planar graph
+    assert spans == [True, True, True, False]
+
+
+@pytest.mark.parametrize(
+    "k, seed",
+    [(k, seed) for k in (30, 100, 150) for seed in (0, 1, 2)]
+    + [(120, 0)]
+    + [pytest.param(k, 0, marks=pytest.mark.slow) for k in (200, 300)],
+)
+def test_lr_kuratowski_steps_stay_linear_on_a_k33_in_shuffled_grids(k, seed):
+    # the deletion alone, with no hint, takes 2.6 to 26.9 m steps on
+    # these graphs, depending on the labeling
+    g = _relabeled(k33_in_grid(k), random.Random(seed))
+    budget = StepBudget(10**12)
+    cert = lr_kuratowski(g, budget)
+    assert 10**12 - budget.remaining <= 4 * g.num_edges
+    assert validate_subdivision(g, cert)
 
 
 def test_biconnected_components_examples():

@@ -5,6 +5,8 @@ graphs up to nine), so they run slower than the unit files; the
 acceptance suite covers the theorem-level statements.
 """
 
+from planarcert.documents import verdict_doc_is_valid, verdict_to_doc
+from planarcert.embedding import lr_planar_rotation
 from planarcert.graphs import (
     are_homeomorphic,
     contract_edge,
@@ -12,6 +14,7 @@ from planarcert.graphs import (
     enumerate_labeled_graphs,
 )
 from planarcert.harness import make_rng, random_graph
+from planarcert.planarity import decide
 from planarcert.subdivision import (
     Pattern,
     find_kuratowski,
@@ -110,3 +113,17 @@ def test_verdict_soundness_seeded_n9():
         else:
             assert validate_subdivision(g, verdict.certificate)
             assert verdict.certificate.pattern in (Pattern.K5, Pattern.K33)
+
+
+def test_every_non_planar_verdict_document_passes_the_audit_n6():
+    # check --validate leaves a non-planar answer to decide's own
+    # validation of the certificate; the document built from it must
+    # pass certify's audit as well
+    nonplanar = 0
+    for n in range(7):
+        for g in enumerate_labeled_graphs(n):
+            if lr_planar_rotation(g) is not None:
+                continue
+            nonplanar += 1
+            assert verdict_doc_is_valid(g, verdict_to_doc(g, decide(g)))
+    assert nonplanar > 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -472,6 +473,20 @@ def test_iter_paths_follow_paths_past_the_recursion_limit():
     assert cert is not None and validate_subdivision(g, cert)
     assert cert.branch == (0, n // 2)
     assert sorted(map(len, cert.paths)) == [2, n // 2 + 1, n // 2 + 1]
+
+
+def test_iter_paths_yields_the_three_strands_of_a_chorded_cycle():
+    # the 2,500-cycle with one chord is a theta; every walk from 0 that
+    # is shorter than its strand dies at its first step, because the
+    # distances to n // 2 are taken without passing through 0
+    n = 2500
+    g = Graph(n, list(cycle_graph(n).edges) + [(0, n // 2)])
+    paths = subdivision._iter_paths(g, 0, n // 2, 0)
+    assert list(itertools.islice(paths, 3)) == [
+        (0, n // 2),
+        tuple(range(n // 2 + 1)),
+        (0, *range(n - 1, n // 2 - 1, -1)),
+    ]
 
 
 def _reference_find_minor(g, pattern, budget):
