@@ -20,8 +20,10 @@ writes that text without json's pure-Python encoder.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import operator
 from typing import Any, Iterator
 
 from .embedding import euler_genus, face_walks
@@ -50,22 +52,42 @@ MAX_VERTICES = 10**7
 def parse_edge_list(text: str) -> Graph:
     """The graph an edge-list document describes.
 
-    One pass appends both ends of every edge line to per-vertex lists.  A
-    line that is not two integers, a negative or too large id, or a
-    repeated neighbor (a loop or a repeated edge) sends the lines through
-    the line-by-line parser instead, which reports the first faulty line
-    (or, for a rare comment shape such as ``#1 2``, finds none)."""
+    One pass appends both ends of every edge line to per-vertex lists,
+    which are then sorted.  A line that is not two integers, a negative or
+    too large id, or a repeated neighbor (a loop or a repeated edge) sends
+    the lines through the line-by-line parser instead, which reports the
+    first faulty line (or, for a rare comment shape such as ``#1 2``,
+    finds none)."""
     lines = text.splitlines()
     n, body = _parse_header(lines)
     adj: list[list[int]] = [[] for _ in range(n)]
     rows = map(str.split, itertools.islice(lines, body, None))
     if _append_edges(rows, adj):
-        darts = sum(map(len, adj))
-        if sum(map(len, map(set, adj))) == darts:
-            for nbrs in adj:
-                nbrs.sort()
-            return Graph.from_adjacency(tuple(map(tuple, adj)), darts // 2)
+        for nbrs in adj:
+            nbrs.sort()
+        if not _repeats_a_neighbor(adj):
+            return Graph.from_adjacency(
+                tuple(map(tuple, adj)), sum(map(len, adj)) // 2
+            )
     return _parse_edge_lines(lines, body, n)
+
+
+def _repeats_a_neighbor(adj: list[list[int]]) -> bool:
+    """Whether a sorted list of adj holds some neighbor twice: two equal
+    entries side by side.  One scan over the lists joined end to end
+    finds every such pair; an equal pair there may also straddle two
+    lists, which is no repeat, so only when the scan meets one are the
+    pairs placed in their lists."""
+    flat = list(itertools.chain.from_iterable(adj))
+    if not any(map(operator.eq, flat, itertools.islice(flat, 1, None))):
+        return False
+    ends = list(itertools.accumulate(map(len, adj)))
+    equal = map(operator.eq, flat, itertools.islice(flat, 1, None))
+    for j in itertools.compress(itertools.count(1), equal):
+        # flat[j - 1] == flat[j]: a repeat unless flat[j] starts a list
+        if ends[bisect.bisect_left(ends, j)] != j:
+            return True
+    return False
 
 
 def _parse_header(lines: list[str]) -> tuple[int, int]:

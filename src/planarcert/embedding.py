@@ -312,13 +312,18 @@ def find_planar_rotation(
 
     Backtracks over per-vertex cyclic orders with incremental face
     tracing: a closed walk in a partial assignment is a face of every
-    completion, and each still-open face must pass through a vertex whose
-    rotation is unassigned, which bounds the achievable face count and
-    prunes branches that can no longer reach the planar count E - V + 2.
-    Components are embedded independently.  Each component's densest
-    vertex is assigned first and only one representative of each
-    mirror-image pair of its cyclic orders is tried; remaining vertices
-    are taken densest-first among neighbors of the assigned region.
+    completion, and the other darts lie on open chains, face segments
+    already linked that later links can only join whole.  A face still to
+    close is a union of open chains with at least 3 darts, so counting a
+    chain of L darts as min(L, 3) bounds the faces still to close by the
+    chains' total weight over 3; a branch that can no longer reach the
+    planar count E - V + 2 is cut.  The cut removes only branches without
+    a genus-0 completion, so the search order, and the rotation returned,
+    are those of the plain search.  Components are embedded
+    independently.  Each component's densest vertex is assigned first and
+    only one representative of each mirror-image pair of its cyclic
+    orders is tried; remaining vertices are taken densest-first among
+    neighbors of the assigned region.
 
     `node_budget` bounds the number of cyclic orders tried across the
     whole call; exceeding it raises SearchBudgetExceeded, which is
@@ -333,7 +338,7 @@ def find_planar_rotation(
             return None
         for v, cyc in found.items():
             orders[v] = cyc
-    return RotationSystem(orders)
+    return RotationSystem.from_canonical(tuple(orders))
 
 
 def find_covering_planar_rotation(
@@ -346,17 +351,21 @@ def find_covering_planar_rotation(
     faces include one covering every edge; meaningful for connected
     graphs only (a single face walk cannot leave a component), so
     disconnected inputs with edges in two components always yield None.
+
+    A covering face has at least E darts and each of the other E - V + 1
+    faces at least 3, so 2E >= E + 3(E - V + 1): an edged component with
+    2E > 3(V - 1) is refused before any order is tried.
     """
     orders: list[tuple[int, ...]] = [()] * g.n
     edged = [comp for comp in g.components() if len(comp) > 1]
     if not edged:
-        return RotationSystem(orders)
-    if len(edged) > 1:
+        return RotationSystem.from_canonical(tuple(orders))
+    if len(edged) > 1 or 2 * g.num_edges > 3 * (len(edged[0]) - 1):
         return None
     for found in _planar_rotations(g, edged[0], StepBudget(node_budget)):
         for v, cyc in found.items():
             orders[v] = cyc
-        rho = RotationSystem(orders)
+        rho = RotationSystem.from_canonical(tuple(orders))
         if face_covering_all_edges(g, trace_faces(g, rho)) is not None:
             return rho
     return None
@@ -366,7 +375,9 @@ def _planar_rotations(
     g: Graph, comp: tuple[int, ...], budget: StepBudget
 ) -> Iterator[dict[int, tuple[int, ...]]]:
     """Every genus-0 rotation of the component comp, in search order, each
-    as a map from vertex to its cyclic order of neighbors.
+    as a map from vertex to its cyclic order of neighbors.  Each cyclic
+    order starts at the vertex's smallest neighbor, and only one of each
+    mirror-image pair of orders at the first vertex is tried.
 
     The search runs on the component relabelled 0..nv-1 in ascending
     order, so neighbor order, and with it the search order, is g's.  Dart
@@ -376,6 +387,15 @@ def _planar_rotations(
     head_of, read at a chain's tail, and tail_of, read at its head, join
     the ends, chain_len counts a chain's darts at its head, and a link
     that meets its own head closes a face.
+
+    Every face not yet closed is a union of whole open chains with at
+    least min_face_len darts.  With each chain weighing min(L,
+    min_face_len) for its L darts, at most weight // min_face_len faces
+    are still to close, and at most one per dart still unlinked.  weight
+    changes in O(1) at each link and each close, and each level restores
+    it, with closed, from its stack entry, so the undo log records links
+    only.  A level whose closed faces plus that bound fall short of
+    E - V + 2 is cut; no genus-0 completion lies below it.
     """
     nv = len(comp)
     if nv == 1:
@@ -392,7 +412,7 @@ def _planar_rotations(
     if nv >= 3 and ne > 3 * nv - 6:
         return
     f_needed = ne - nv + 2
-    # each still-open face needs >= 3 darts once a component has >= 2 edges
+    # each face needs >= 3 darts once a component has >= 2 edges
     min_face_len = 3 if ne >= 2 else 1
 
     # assignment order: densest vertex first, then greedily the vertex with
@@ -437,53 +457,56 @@ def _planar_rotations(
     head_of = list(range(total))
     tail_of = list(range(total))
     chain_len = [1] * total
-    closed = closed_darts = 0  # faces closed, darts locked inside them
+    # an open chain weighs min(its darts, min_face_len); weight sums them
+    cap = list(range(min_face_len)) + [min_face_len] * (total + 1 - min_face_len)
+    closed, weight = 0, total  # faces closed; weight of the open chains
     chosen: list[tuple[int, ...]] = [()] * nv
-    # one entry per assigned level: its vertex's untried cyclic orders and
-    # the undo log of the order it has linked
-    stack: list[tuple[Iterator[tuple[int, ...]], list[tuple[int, int, int, int]]]]
-    stack = [(cyclic_orders(order[0], True), [])]
+    # one entry per assigned level: its vertex's untried cyclic orders, the
+    # undo log of the links the order has made, and closed and weight as
+    # the level found them
+    stack: list[
+        tuple[Iterator[tuple[int, ...]], list[tuple[int, int, int, int]], int, int]
+    ]
+    stack = [(cyclic_orders(order[0], True), [], closed, weight)]
     while stack:
-        untried, log = stack[-1]
+        untried, log, closed, weight = stack[-1]
         for t, old_head, h, old_tail in reversed(log):
-            if t < 0:
-                closed -= 1
-                closed_darts -= chain_len[old_head]
-            else:
-                chain_len[h] -= chain_len[old_head]
-                head_of[t] = old_head
-                tail_of[h] = old_tail
+            chain_len[h] -= chain_len[old_head]
+            head_of[t] = old_head
+            tail_of[h] = old_tail
         log.clear()
         cyc = next(untried, None)
         if cyc is None:
             stack.pop()
             continue
         budget.tick()
-        deg = len(cyc)
-        for i, x in enumerate(cyc):
-            # the dart coming in along x's edge leaves along the next one
-            d = rev[x]
-            e = cyc[(i + 1) % deg]
+        # the dart coming in along each edge of cyc leaves along the next
+        # one, cyclically: d comes in along the edge before e
+        d = rev[cyc[-1]]
+        for e in cyc:
             h = head_of[d]
+            a = chain_len[h]
             if h == e:
                 closed += 1
-                closed_darts += chain_len[h]
-                log.append((-1, h, -1, -1))
+                weight -= cap[a]
             else:
                 t = tail_of[e]
                 log.append((t, head_of[t], h, tail_of[h]))
                 head_of[t] = h
                 tail_of[h] = t
-                chain_len[h] += chain_len[e]
+                b = chain_len[e]
+                chain_len[h] = a + b
+                weight += cap[a + b] - cap[a] - cap[b]
+            d = rev[e]
         level = len(stack) - 1
-        future = (total - closed_darts) // min_face_len
+        future = weight // min_face_len
         if remaining[level] < future:
             future = remaining[level]
         if closed + future < f_needed:
             continue
         chosen[level] = cyc
         if level + 1 < nv:
-            stack.append((cyclic_orders(order[level + 1], False), []))
+            stack.append((cyclic_orders(order[level + 1], False), [], closed, weight))
             continue
         if closed != f_needed:
             raise InternalInconsistencyError(

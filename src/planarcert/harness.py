@@ -96,11 +96,23 @@ def make_rng(seed: int) -> Rng:
 
 
 def random_graph(n: int, p: float, rng: Rng) -> Graph:
-    """Each vertex pair becomes an edge independently with probability p."""
+    """Each vertex pair becomes an edge independently with probability p.
+
+    Pairs are drawn in lexicographic order, so every vertex receives its
+    smaller neighbors before its larger ones, each group ascending: the
+    neighbor lists come out sorted."""
     if not 0 <= p <= 1:
         raise ValueError("probability must lie in [0, 1]")
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    m = 0
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u].append(v)
+            adj[v].append(u)
+            m += 1
+    return Graph.from_adjacency(tuple(map(tuple, adj)), m)
 
 
 def random_cubic_graph(n: int, rng: Rng, max_retries: int = 10_000) -> Graph:
@@ -109,22 +121,22 @@ def random_cubic_graph(n: int, rng: Rng, max_retries: int = 10_000) -> Graph:
     if n < 4 or n % 2:
         raise ValueError("cubic graphs need an even vertex count >= 4")
     for _ in range(max_retries):
-        edges: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         ok = True
         for _ in range(3):
             perm = rng.sample(range(n), n)
-            for i in range(n // 2):
-                u, v = perm[2 * i], perm[2 * i + 1]
-                e = (u, v) if u < v else (v, u)
-                if e in edges:
+            for i in range(0, n, 2):
+                u, v = perm[i], perm[i + 1]
+                if v in adj[u]:
                     ok = False
                     break
-                edges.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
             if not ok:
                 break
         if not ok:
             continue
-        g = Graph(n, edges)
+        g = Graph.from_adjacency(tuple(map(tuple, map(sorted, adj))), 3 * n // 2)
         if g.is_connected():
             return g
     raise RuntimeError(f"no connected cubic graph found in {max_retries} tries")

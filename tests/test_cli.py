@@ -217,6 +217,29 @@ def test_parse_edge_list_matches_a_line_by_line_reference(text):
     assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse, text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 4\n0 1\n1 2\n2 2\n2 3\n", "line 4: loop at vertex 2"),
+        ("n 4\n# c\n0 1\n1 3\n\n3 1\n0 2\n", "line 6: duplicate edge (1, 3)"),
+        # equal entries at the seam of two sorted lists are no repeat
+        ("n 4\n0 2\n1 2\n2 3\n", None),
+    ],
+    ids=["loop", "both-ways", "seam"],
+)
+def test_parse_edge_list_names_the_line_of_a_repeated_neighbor(
+    text, message, monkeypatch
+):
+    if message is None:
+        # found without the line-by-line parser
+        monkeypatch.delattr(documents, "_parse_edge_lines")
+        assert parse_edge_list(text) == Graph(4, [(0, 2), (1, 2), (2, 3)])
+        return
+    with pytest.raises(DocumentError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_n=7))
 def test_parse_print_round_trip(g):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -34,12 +35,14 @@ from planarcert.graphs import (
     cycle_graph,
     delete_edge,
     enumerate_labeled_graphs,
+    from_edge_mask,
     normalize_edge,
     path_graph,
     petersen_graph,
     subdivide_edge,
     theta_graph,
 )
+from planarcert.harness import enumerate_graph_class_masks
 from planarcert.subdivision import Pattern, contains_theta, validate_subdivision
 
 from conftest import graphs, grid_graph, k33_in_grid
@@ -336,6 +339,109 @@ def test_budget_exhaustion_raises():
     with pytest.raises(SearchBudgetExceeded):
         lr_planar_rotation(cube_graph(), shared)
 
+
+def _connected_small_graphs():
+    for n in range(1, 5):
+        yield from (g for g in enumerate_labeled_graphs(n) if g.is_connected())
+    for mask in enumerate_graph_class_masks(5):
+        g = from_edge_mask(5, mask)
+        if g.is_connected():
+            yield g
+
+
+def _genus0_rotations(g):
+    comp = tuple(range(g.n))
+    return [
+        RotationSystem([rotation[v] for v in comp])
+        for rotation in embedding._planar_rotations(g, comp, StepBudget(None))
+    ]
+
+
+def test_search_yields_every_planar_rotation_up_to_mirror_once_and_nothing_else():
+    # the face bound may cut only branches without a genus-0 completion
+    checked = 0
+    for g in _connected_small_graphs():
+        found = _genus0_rotations(g)
+        planar = {
+            rho for rho in enumerate_rotation_systems(g) if genus(g, rho) == 0
+        }
+        mirror_pairs = {frozenset((rho, rho.reversed())) for rho in found}
+        assert len(mirror_pairs) == len(found)
+        assert set(found) <= planar
+        assert all(rho in found or rho.reversed() in found for rho in planar)
+        checked += bool(planar)
+    assert checked > 30
+
+
+@pytest.mark.parametrize(
+    "g, steps, planar",
+    [
+        (from_edge_mask(6, 15870), 210, True),  # the octahedron
+        (from_edge_mask(6, 4095), 9388, False),  # K3,3 plus a triangle on a side
+        (from_edge_mask(6, 6143), 3348, False),
+        (petersen_graph(), 147, False),
+        (complete_bipartite(3, 3), 17, False),
+    ],
+    ids=["octahedron", "mask4095", "mask6143", "petersen", "k33"],
+)
+def test_search_steps_stay_pinned(g, steps, planar):
+    # counting every open dart toward the faces still to close took 4,200,
+    # 21,580, 13,284, 335 and 31 steps
+    rho = find_planar_rotation(g, node_budget=steps)
+    assert (rho is not None) == planar
+    if planar:
+        assert genus(g, rho) == 0
+    with pytest.raises(SearchBudgetExceeded):
+        find_planar_rotation(g, node_budget=steps - 1)
+
+
+def test_covering_edge_count_refuses_only_graphs_without_a_covering_face():
+    # 2E > 3(V - 1) leaves no room for a face through every edge: the
+    # search the count skips finds none on any connected graph with n <= 5
+    refused = searched = 0
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            if not g.is_connected() or 2 * g.num_edges <= 3 * (n - 1):
+                continue
+            refused += 1
+            assert find_covering_planar_rotation(g, node_budget=0) is None
+            for rho in _genus0_rotations(g):
+                searched += 1
+                assert face_covering_all_edges(g, trace_faces(g, rho)) is None
+    assert (refused, searched) == (183, 332)
+
+
+def test_searches_return_the_rotations_they_returned_before_the_face_cuts():
+    # a digest of both searches over every labeled graph with n <= 5,
+    # taken before the chain bound and the covering count were added
+    digest = hashlib.sha256()
+    for n in range(6):
+        for g in enumerate_labeled_graphs(n):
+            for search in (find_planar_rotation, find_covering_planar_rotation):
+                rho = search(g)
+                digest.update(repr(None if rho is None else rho.order).encode())
+    assert digest.hexdigest() == (
+        "912bc0f3bd37ae21a142afec1d4095e6c499331a44d6cc2f38dbed97e8a5186c"
+    )
+
+
+def test_searches_return_canonical_cycles_without_the_strict_constructor(
+    all_graphs_up_to_5, monkeypatch
+):
+    def refuse(self, order):
+        raise AssertionError("the search ran the validating constructor")
+
+    with monkeypatch.context() as m:
+        m.setattr(RotationSystem, "__init__", refuse)
+        rotations = [
+            search(g)
+            for g in all_graphs_up_to_5
+            for search in (find_planar_rotation, find_covering_planar_rotation)
+        ]
+    assert any(rho is not None for rho in rotations)
+    for rho in rotations:
+        if rho is not None:
+            assert rho.order == RotationSystem(rho.order).order
 
 @pytest.mark.parametrize(
     "g", [grid_graph(6, 7), path_graph(50), cube_graph()], ids=["grid", "path", "cube"]
