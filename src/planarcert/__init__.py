@@ -21,7 +21,6 @@ from .graphs import (
     delete_edge,
     delete_vertex,
     delete_vertices,
-    empty_graph,
     enumerate_labeled_graphs,
     from_edge_mask,
     identity_map,

@@ -30,7 +30,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Edge, Graph, normalize_edge
-from .subdivision import Pattern, SubdivisionCertificate, validate_subdivision
+from .subdivision import (
+    SubdivisionCertificate,
+    pruned_chains,
+    read_off,
+    validate_subdivision,
+)
 
 Dart = tuple[int, int]
 
@@ -982,8 +987,9 @@ def lr_kuratowski(
     a subgraph of a subdivision of the one that needed it.  Extraction
     stops when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9
     edges: minimum degree 3 makes H cubic, and the other cubic graph on 6
-    vertices, the prism, is planar).  The certificate expands the chains
-    back into paths of g and must pass validate_subdivision.
+    vertices, the prism, is planar).  H's edges expand into g's, and the
+    read-off the minor route shares (`subdivision.pruned_chains` and
+    `read_off`) names the certificate, which must pass validate_subdivision.
 
     Each test runs on H (or one component) relabeled to compact ids, so it
     costs O(|H|), not O(n).  `node_budget` bounds the oriented edges over
@@ -1171,40 +1177,17 @@ def lr_kuratowski(
             "edges, neither K5 nor K3,3"
         )
 
-    def expand(e: int, start: int) -> tuple[int, ...]:
-        """The path of g that H edge e stands for, from its end `start`.
-        The edges on the stack are walked in path order, so each starts
-        at the path's last vertex."""
-        path = [start]
-        todo = [e]
-        while todo:
-            e = todo.pop()
-            split = parts[e]
-            if split is None:
-                a, b = ends[e]
-                path.append(b if path[-1] == a else a)
-            elif path[-1] == ends[e][0]:
-                todo += (split[2], split[0])
-            else:
-                todo += (split[0], split[2])
-        return tuple(path)
-
-    verts = [v for v, around in enumerate(nbr) if around is not None]
-    if len(verts) == 5:
-        pattern, branch = Pattern.K5, tuple(verts)
-    else:  # one side of K3,3 is the neighborhood of any branch vertex
-        side = sorted(nbr[verts[0]])
-        pattern = Pattern.K33
-        branch = tuple([v for v in verts if v not in side] + side)
-    paths = []
-    for i, j in pattern.edge_list:
-        e = nbr[branch[i]].get(branch[j])
-        if e is None:
-            raise InternalInconsistencyError(
-                "extraction ended with a cubic graph on 6 vertices that is not K3,3"
-            )
-        paths.append(expand(e, branch[i]))
-    cert = SubdivisionCertificate(pattern, branch, tuple(paths))
+    # the edges of g that H's edges stand for
+    edges: list[Edge] = []
+    todo = list(alive)
+    while todo:
+        e = todo.pop()
+        split = parts[e]
+        if split is None:
+            edges.append(ends[e])
+        else:
+            todo += (split[0], split[2])
+    cert = read_off(pruned_chains(edges))
     if not validate_subdivision(g, cert):
         raise InternalInconsistencyError("extracted certificate does not validate")
     return cert

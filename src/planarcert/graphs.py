@@ -231,10 +231,6 @@ def from_edge_mask(n: int, mask: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
 

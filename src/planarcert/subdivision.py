@@ -14,14 +14,19 @@ case analysis on the merged vertex: untouched, interior to one path, or a
 branch vertex whose incident paths split between x and y.  A 2-2 split of
 a degree-4 branch vertex is the one case that changes the pattern: the
 lifted witness is then a K3,3 subdivision built from the split halves.
+
+Both non-planar routes read their certificate off one way: `pruned_chains`
+prunes a subgraph to branch vertices and chains, and `read_off` names the
+pattern (`lr_kuratowski` and `minor_to_subdivision` feed it).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InternalInconsistencyError
 from .graphs import (
@@ -589,25 +594,19 @@ def find_minor(
         return None
 
     sets = tuple(frozenset(_mask_bits(placed_mask[p])) for p in range(bc))
+    # the first edge from set pi to set pj in label order; an edge joins
+    # one pair of sets, so theta's strands stay distinct
     cross: list[Edge] = []
-    used_pairs: dict[tuple[int, int], set[Edge]] = {}
     for pi, pj in edge_list:
-        bucket = used_pairs.setdefault((pi, pj), set())
-        best = None
-        for u in sorted(sets[pi]):
-            for v in sorted(sets[pj]):
-                if g.has_edge(u, v):
-                    e = normalize_edge(u, v)
-                    if e not in bucket:
-                        best = e
-                        break
-            if best is not None:
-                break
+        sj = sets[pj]
+        joins = (
+            normalize_edge(u, v) for u in sorted(sets[pi]) for v in g.adj[u] if v in sj
+        )
+        best = next((e for e in joins if e not in cross), None)
         if best is None:
             raise InternalInconsistencyError(
                 f"no host edge joins the branch sets of pattern edge ({pi}, {pj})"
             )
-        bucket.add(best)
         cross.append(best)
     return MinorCertificate(pattern, sets, tuple(cross))
 
@@ -857,120 +856,135 @@ def _rebuild_k33(
 
 
 # ---------------------------------------------------------------------------
+# Obstruction read-off
+# ---------------------------------------------------------------------------
+
+def pruned_chains(edges: Iterable[Edge]) -> dict[int, list[tuple[int, ...]]]:
+    """Prune the leaves of the graph of these edges, then map each vertex
+    of degree 3 or more to the chains leaving it: paths that run through
+    vertices of degree 2 to the next vertex of degree 3 or more.  A cycle
+    with no such vertex on it is left out.  Each chain is walked once and
+    listed at both of its ends."""
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    leaves = [v for v, around in adj.items() if len(around) == 1]
+    if leaves:
+        deg = {v: len(around) for v, around in adj.items()}
+        while leaves:
+            v = leaves.pop()
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        leaves.append(w)
+        adj = {v: [w for w in around if deg[w]] for v, around in adj.items() if deg[v]}
+    chains: dict[int, list[tuple[int, ...]]] = {
+        v: [] for v, around in adj.items() if len(around) > 2
+    }
+    walked: set[Edge] = set()  # (end, the vertex before it) of each chain
+    for v, out in chains.items():
+        for w in adj[v]:
+            if (v, w) in walked:
+                continue
+            prev, path = v, [v, w]
+            while w not in chains:
+                a, b = adj[w]
+                prev, w = w, (b if a == prev else a)
+                path.append(w)
+            walked.add((w, prev))
+            chain = tuple(path)
+            out.append(chain)
+            chains[w].append(chain[::-1])
+    return chains
+
+
+def read_off(chains: dict[int, list[tuple[int, ...]]]) -> SubdivisionCertificate:
+    """The theta, K5 or K3,3 subdivision that `pruned_chains` found, by its
+    number of branch vertices: 2, 5 or 6.
+
+    Branch vertices come in ascending order.  K3,3's first part is the one
+    that holds the least branch vertex, so its second part is that vertex's
+    neighbors.  Theta's strands run from the lesser branch vertex and are
+    sorted by (length, path).  Chains of any other shape raise
+    InternalInconsistencyError.
+    """
+    branch = sorted(chains)
+    pattern = {2: Pattern.THETA, 5: Pattern.K5, 6: Pattern.K33}.get(len(branch))
+    if pattern is None or any(len(chains[v]) != pattern.branch_degree for v in branch):
+        raise InternalInconsistencyError(f"{len(branch)} branch vertices: no pattern")
+    if pattern is Pattern.THETA:
+        paths = sorted(chains[branch[0]], key=lambda p: (len(p), p))
+        shaped = all(p[-1] == branch[1] for p in paths)
+    else:
+        # with every degree right, a chain for each pattern edge leaves
+        # none over, so no pair is joined twice
+        reach = {v: {p[-1]: p for p in chains[v]} for v in branch}
+        if pattern is Pattern.K33:
+            side = sorted(reach[branch[0]])
+            branch = [v for v in branch if v not in side] + side
+        paths = [reach[branch[i]].get(branch[j]) for i, j in pattern.edge_list]
+        shaped = None not in paths
+    if not shaped:
+        raise InternalInconsistencyError(
+            f"chains between the branch vertices do not form a {pattern.value}"
+        )
+    return SubdivisionCertificate(pattern, tuple(branch), tuple(paths))
+
+
+# ---------------------------------------------------------------------------
 # Minor certificate -> subdivision certificate
 # ---------------------------------------------------------------------------
 
 
 def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertificate:
     """Convert a minor witness into a subdivision witness valid in the
-    same graph.
+    same graph, in one linear pass.
 
-    K5/K3,3: contract each branch set to a point (edge by edge along a
-    spanning sequence), read off the pattern as a subgraph there, then
-    lift the certificate back through the contractions in reverse.  A K5
-    minor may therefore come back as a K3,3 subdivision.
-
-    THETA: parallel pattern edges cannot survive simple-graph contraction,
-    so the witness is extracted directly: the two spanning trees plus the
-    three crossing edges have cyclomatic number two, and pruning leaves
-    from that subgraph leaves exactly a theta.
+    A spanning tree of each branch set plus the crossing edges, pruned of
+    leaves, keeps in each set the subtree that joins its crossing edges.
+    A set with three crossing edges (theta, K3,3) keeps one branch vertex
+    of degree 3.  A K5 set, with four, keeps one of degree 4 or two of
+    degree 3, x and y.  With x's other chains leading to sets a, b and
+    y's to c, d, dropping the crossing edges a-b and c-d and pruning again
+    leaves a K3,3 subdivision (a, b, y | c, d, x), as in `_rebuild_k33`.
+    A K5 minor may therefore come back as a K3,3 subdivision.
     """
     if not validate_minor(g, cert):
         raise ValueError("minor certificate does not validate")
-    if cert.pattern is Pattern.THETA:
-        return _theta_minor_to_subdivision(g, cert)
-
-    sets = [set(s) for s in cert.branch_sets]
-    cur = g
-    steps: list[tuple[Graph, Edge, tuple[Graph, int, VertexMap]]] = []
-    for p in range(len(sets)):
-        while len(sets[p]) > 1:
-            edge = min(
-                normalize_edge(u, v)
-                for u in sets[p]
-                for v in cur.adj[u]
-                if v in sets[p]
-            )
-            contraction = contract_edge(cur, edge)
-            steps.append((cur, edge, contraction))
-            cur, _, vmap = contraction
-            sets = [{vmap[v] for v in s} for s in sets]  # type: ignore[misc]
-
-    branch = tuple(next(iter(sets[p])) for p in range(len(sets)))
-    paths = tuple(
-        (branch[pi], branch[pj]) for pi, pj in cert.pattern.edge_list
-    )
-    lifted = SubdivisionCertificate(cert.pattern, branch, paths)
-    for graph_before, (cx, cy), contraction in reversed(steps):
-        lifted = lift_through_contraction(graph_before, cx, cy, contraction, lifted)
-    return lifted
-
-
-def _theta_minor_to_subdivision(
-    g: Graph, cert: MinorCertificate
-) -> SubdivisionCertificate:
-    edges: set[Edge] = set(normalize_edge(*e) for e in cert.cross_edges)
+    cross = [normalize_edge(*e) for e in cert.cross_edges]
+    edges = list(cross)
     for s in cert.branch_sets:
-        edges |= _spanning_tree_edges(g, s)
-
-    # prune leaves down to the 2-core, which must be a theta: every cycle
-    # of the subgraph uses at least two of the three crossing edges, so
-    # two edge-disjoint cycles (a figure-8 or dumbbell core) cannot fit
-    deg: dict[int, int] = {}
-    inc: dict[int, set[Edge]] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        inc.setdefault(u, set()).add((u, v))
-        inc.setdefault(v, set()).add((u, v))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(deg):
-            if deg[v] <= 1:
-                for e in list(inc[v]):
-                    u = e[0] if e[1] == v else e[1]
-                    inc[u].discard(e)
-                    inc[v].discard(e)
-                    deg[u] -= 1
-                    edges.discard(e)
-                del deg[v], inc[v]
-                changed = True
-
-    hubs = sorted(v for v in deg if deg[v] == 3)
-    if len(hubs) != 2:
-        raise InternalInconsistencyError(
-            f"theta core has {len(hubs)} degree-3 vertices, not 2"
+        edges += _spanning_tree_edges(g, s)
+    chains = pruned_chains(edges)
+    if len(chains) > cert.pattern.branch_count:  # a K5 set kept x and y
+        set_of = {v: p for p, s in enumerate(cert.branch_sets) for v in s}
+        x, y = next(
+            (x, path[-1])
+            for x in sorted(chains)
+            for path in chains[x]
+            if set_of[path[-1]] == set_of[x]
         )
-    u, v = hubs
-    paths = []
-    for start in sorted(w for e in inc[u] for w in e if w != u):
-        path = [u, start]
-        prev, cur = u, start
-        while cur != v:
-            (nxt,) = [
-                w
-                for e in inc[cur]
-                for w in e
-                if w != cur and w != prev
-            ]
-            path.append(nxt)
-            prev, cur = cur, nxt
-        paths.append(tuple(path))
-    paths.sort(key=lambda p: (len(p), p))
-    return SubdivisionCertificate(Pattern.THETA, (u, v), tuple(paths))
+        a, b = sorted(set_of[path[-1]] for path in chains[x] if path[-1] != y)
+        c, d = sorted(set_of[path[-1]] for path in chains[y] if path[-1] != x)
+        edge_list = cert.pattern.edge_list
+        drop = {cross[edge_list.index((a, b))], cross[edge_list.index((c, d))]}
+        chains = pruned_chains(e for e in edges if e not in drop)
+    return read_off(chains)
 
 
-def _spanning_tree_edges(g: Graph, s: frozenset[int]) -> set[Edge]:
+def _spanning_tree_edges(g: Graph, s: frozenset[int]) -> list[Edge]:
+    """The edges of a breadth-first spanning tree of the connected set s."""
     root = min(s)
     seen = {root}
-    tree: set[Edge] = set()
+    tree: list[Edge] = []
     frontier = [root]
-    while frontier:
-        v = frontier.pop(0)
+    for v in frontier:  # appended to while it is read: a queue
         for w in g.adj[v]:
             if w in s and w not in seen:
                 seen.add(w)
-                tree.add(normalize_edge(v, w))
+                tree.append(normalize_edge(v, w))
                 frontier.append(w)
     return tree

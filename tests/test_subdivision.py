@@ -247,6 +247,88 @@ def test_minor_to_subdivision_rejects_invalid_input():
         minor_to_subdivision(k5, MinorCertificate(Pattern.K5, tuple(sets), m.cross_edges))
 
 
+def test_minor_to_subdivision_rebuilds_k33_when_two_k5_sets_split():
+    # K5 with pattern vertex 0 split into 0-5 and pattern vertex 1 into
+    # 1-6, each half carrying two of the four crossing edges
+    g = Graph(7, [
+        (0, 5), (1, 6), (0, 1), (0, 2), (3, 5), (4, 5),
+        (1, 2), (3, 6), (4, 6), (2, 3), (2, 4), (3, 4),
+    ])
+    sets = (frozenset({0, 5}), frozenset({1, 6}), *(frozenset({v}) for v in (2, 3, 4)))
+    cross = ((0, 1), (0, 2), (3, 5), (4, 5), (1, 2), (3, 6), (4, 6), (2, 3), (2, 4), (3, 4))
+    m = MinorCertificate(Pattern.K5, sets, cross)
+    assert validate_minor(g, m)
+    # only three vertices of degree 4: no K5 subdivision fits
+    assert find_subdivision(g, Pattern.K5) is None
+    # hubs 0 and 5 of the first set reach sets 1, 2 and 3, 4: crossing
+    # edges 1-2 and 3-4 go, and 1 becomes interior to the chain 0-1-6
+    cert = minor_to_subdivision(g, m)
+    assert cert.pattern is Pattern.K33 and validate_subdivision(g, cert)
+    assert cert.branch == (0, 3, 4, 2, 5, 6)
+    assert (0, 1, 6) in cert.paths
+
+
+def _planted_minor(pattern, interior):
+    """A subdivision of the pattern with `interior` vertices on each path,
+    its paths, and the minor whose branch sets are each branch vertex and
+    the halves of its paths nearest it."""
+    bc = pattern.branch_count
+    edges, paths, sets, cross = [], [], [[b] for b in range(bc)], []
+    nxt = bc
+    for pu, pv in pattern.edge_list:
+        path = (pu, *range(nxt, nxt + interior), pv)
+        nxt += interior
+        paths.append(path)
+        edges += zip(path, path[1:])
+        half = len(path) // 2
+        sets[pu] += path[1:half]
+        sets[pv] += path[half:-1]
+        cross.append(normalize_edge(path[half - 1], path[half]))
+    minor = MinorCertificate(pattern, tuple(map(frozenset, sets)), tuple(cross))
+    return Graph(nxt, edges), tuple(paths), minor
+
+
+@pytest.mark.parametrize("pattern, interior, n", [
+    (Pattern.K5, 200, 2005),
+    (Pattern.K33, 222, 2004),
+])
+def test_minor_to_subdivision_converts_planted_minors_without_contracting(
+    monkeypatch, pattern, interior, n
+):
+    def refuse(*args):
+        raise AssertionError("minor_to_subdivision contracted an edge")
+
+    monkeypatch.setattr(subdivision, "contract_edge", refuse)
+    monkeypatch.setattr(subdivision, "lift_through_contraction", refuse)
+    g, paths, m = _planted_minor(pattern, interior)
+    assert g.n == n and validate_minor(g, m)
+    assert min(map(len, m.branch_sets)) > 300
+    cert = minor_to_subdivision(g, m)
+    assert validate_subdivision(g, cert)
+    assert cert == SubdivisionCertificate(pattern, tuple(range(pattern.branch_count)), paths)
+
+
+def test_read_off_names_each_pattern_and_refuses_other_shapes():
+    for pattern in Pattern:
+        g, paths, _ = _planted_minor(pattern, 2)
+        cert = subdivision.read_off(subdivision.pruned_chains(g.sorted_edges()))
+        assert cert == SubdivisionCertificate(
+            pattern, tuple(range(pattern.branch_count)), paths
+        )
+    # a pendant tree is pruned away before the chains are read
+    g, _, _ = _planted_minor(Pattern.THETA, 2)
+    chains = subdivision.pruned_chains([*g.sorted_edges(), (2, 20), (20, 21), (20, 22)])
+    assert sorted(chains) == [0, 1]
+    # the prism is the cubic graph on six vertices that is not K3,3, and
+    # K4 has no pattern's number of branch vertices
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    for g in (prism, complete_graph(4)):
+        chains = subdivision.pruned_chains(g.sorted_edges())
+        assert sorted(chains) == list(range(g.n))
+        with pytest.raises(InternalInconsistencyError):
+            subdivision.read_off(chains)
+
+
 def split_k5_vertex(x_nbrs, y_nbrs):
     """K5 with vertex 0 split into x=0 and y=5, distributing 0's edges."""
     edges = [(u, v) for u, v in complete_graph(5).edges if 0 not in (u, v)]

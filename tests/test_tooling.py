@@ -22,6 +22,30 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on the package, so an import a refactor left behind
+    # would linger; __init__ imports only to re-export
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
+
+
 def test_every_traced_function_resolves():
     # perfbench's tracer patches these names by lookup, so a rename in the
     # package would break per-layer tracing; the file is read, not imported
