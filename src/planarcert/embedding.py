@@ -150,9 +150,9 @@ def face_walks(g: Graph, cycles: Sequence[Sequence[int]]) -> list[list[int]]:
     bisect_left = bisect.bisect_left
     for v, cyc in enumerate(cycles):
         nbrs = adj[v]
-        if cyc == nbrs:
-            # a tuple equal to g.adj[v] is ascending: after's default
-            # links it but for its last dart
+        if tuple(cyc) == nbrs:
+            # a cycle (list or tuple) equal to g.adj[v] is ascending:
+            # after's default links it but for its last dart
             if nbrs:
                 after[first[v + 1] - 1] = first[v]
             continue
@@ -988,8 +988,9 @@ def lr_kuratowski(
     stops when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9
     edges: minimum degree 3 makes H cubic, and the other cubic graph on 6
     vertices, the prism, is planar).  H's edges expand into g's, and the
-    read-off the minor route shares (`subdivision.pruned_chains` and
-    `read_off`) names the certificate, which must pass validate_subdivision.
+    read-off the minor route and the lift share (`subdivision.pruned_chains`
+    and `read_off`) names the certificate, which must pass
+    validate_subdivision.
 
     Each test runs on H (or one component) relabeled to compact ids, so it
     costs O(|H|), not O(n).  `node_budget` bounds the oriented edges over

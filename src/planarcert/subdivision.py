@@ -9,15 +9,15 @@ the searchers promise nothing the validators cannot check.
 The theta pattern is handled as a multigraph: two branch vertices joined
 by three parallel pattern edges, whose simple-graph normal form is K_{2,3}.
 
-`lift_certificate` translates a certificate found in G/xy back into G by
-case analysis on the merged vertex: untouched, interior to one path, or a
-branch vertex whose incident paths split between x and y.  A 2-2 split of
-a degree-4 branch vertex is the one case that changes the pattern: the
-lifted witness is then a K3,3 subdivision built from the split halves.
-
-Both non-planar routes read their certificate off one way: `pruned_chains`
-prunes a subgraph to branch vertices and chains, and `read_off` names the
-pattern (`lr_kuratowski` and `minor_to_subdivision` feed it).
+All three routes to a Kuratowski certificate read it off one way:
+`pruned_chains` prunes a subgraph to branch vertices and the chains
+between them, and `read_off` names the pattern.  `lr_kuratowski` feeds
+it the edges the left-right test could not lose, `minor_to_subdivision`
+a spanning tree of each branch set plus the crossing edges, and
+`lift_certificate` a certificate of G/xy with each edge at the merged
+vertex moved back to x or y.  The last two meet the paper's contraction
+lemma: a K5 branch vertex whose strands split 2-2 over two vertices
+gives a K3,3, which `_split_k5` reads off for both.
 """
 
 from __future__ import annotations
@@ -634,228 +634,6 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Certificate lifting through contraction
-# ---------------------------------------------------------------------------
-
-
-def lift_certificate(
-    g: Graph, x: int, y: int, cert: SubdivisionCertificate
-) -> SubdivisionCertificate:
-    """Translate a certificate valid in G/xy into one valid in G.
-
-    Pattern rule: K3,3 and theta lift to themselves; K5 lifts to K5 unless
-    the merged vertex is a branch vertex whose four strands split 2-2
-    between x and y, in which case the lift is a K3,3 subdivision.
-    """
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
-    return lift_through_contraction(g, x, y, contract_edge(g, (x, y)), cert)
-
-
-def lift_through_contraction(
-    g: Graph,
-    x: int,
-    y: int,
-    contraction: tuple[Graph, int, VertexMap],
-    cert: SubdivisionCertificate,
-) -> SubdivisionCertificate:
-    """`lift_certificate` for a caller that already holds
-    `contraction = contract_edge(g, (x, y))` for an edge xy of g; the
-    certificate is still validated in the contracted graph first."""
-    contracted, z, vmap = contraction
-    if not validate_subdivision(contracted, cert):
-        raise ValueError("certificate does not validate in the contracted graph")
-
-    inv: dict[int, int] = {}
-    for old in range(g.n):
-        if old not in (x, y):
-            new = vmap[old]
-            if new is None:
-                raise InternalInconsistencyError(
-                    f"contraction of ({x}, {y}) dropped vertex {old}"
-                )
-            inv[new] = old
-
-    def t(w: int) -> int:
-        return inv[w]
-
-    def t_path(path) -> tuple[int, ...]:
-        return tuple(inv[w] for w in path)
-
-    if z not in cert.branch:
-        touching = [i for i, p in enumerate(cert.paths) if z in p]
-        if not touching:
-            return SubdivisionCertificate(
-                cert.pattern,
-                tuple(t(b) for b in cert.branch),
-                tuple(t_path(p) for p in cert.paths),
-            )
-        # interior of exactly one path: splice x, y, or the edge xy in
-        (i,) = touching
-        path = cert.paths[i]
-        k = path.index(z)
-        a, b = t(path[k - 1]), t(path[k + 1])
-        splice = None
-        for cand in ((x,), (y,), (x, y), (y, x)):
-            if g.has_edge(a, cand[0]) and g.has_edge(cand[-1], b):
-                splice = cand
-                break
-        if splice is None:
-            raise InternalInconsistencyError(
-                "contracted adjacency has no preimage"
-            )
-        new_paths = [
-            t_path(p) if j != i else () for j, p in enumerate(cert.paths)
-        ]
-        new_paths[i] = t_path(path[:k]) + splice + t_path(path[k + 1 :])
-        return SubdivisionCertificate(
-            cert.pattern, tuple(t(b) for b in cert.branch), tuple(new_paths)
-        )
-
-    return _lift_branch_case(g, x, y, cert, z, inv)
-
-
-def _lift_branch_case(
-    g: Graph,
-    x: int,
-    y: int,
-    cert: SubdivisionCertificate,
-    z: int,
-    inv: dict[int, int],
-) -> SubdivisionCertificate:
-    pattern = cert.pattern
-    edge_list = pattern.edge_list
-    pz = cert.branch.index(z)
-
-    def t(w: int) -> int:
-        return inv[w]
-
-    # orient every path at the merged branch vertex to start at z, and
-    # classify its first step by which end of xy carries it in G
-    incident: list[int] = []
-    first_nbr: dict[int, int] = {}
-    tail: dict[int, tuple[int, ...]] = {}
-    for i, (pu, pv) in enumerate(edge_list):
-        if pz not in (pu, pv):
-            continue
-        path = cert.paths[i]
-        if path[0] != z:
-            path = path[::-1]
-        incident.append(i)
-        first_nbr[i] = t(path[1])
-        tail[i] = tuple(t(w) for w in path[1:])
-
-    xm = g.adj_mask[x]
-    ym = g.adj_mask[y]
-    fixed_x = [i for i in incident if xm >> first_nbr[i] & 1 and not ym >> first_nbr[i] & 1]
-    fixed_y = [i for i in incident if ym >> first_nbr[i] & 1 and not xm >> first_nbr[i] & 1]
-    flex = [i for i in incident if i not in fixed_x and i not in fixed_y]
-
-    new_branch = [-1 if b == z else t(b) for b in cert.branch]
-    new_paths = {
-        i: tuple(t(w) for w in cert.paths[i])
-        for i in range(len(edge_list))
-        if i not in incident
-    }
-
-    if not fixed_y or not fixed_x:
-        # every strand can hang off one end; ties go to x
-        m = x if not fixed_y else y
-        new_branch[pz] = m
-        for i in incident:
-            new_paths[i] = (m,) + tail[i]
-    elif len(fixed_x) == 1 or len(fixed_y) == 1:
-        # majority end keeps the branch vertex; the single minority strand
-        # is rerouted through the edge xy (ties resolved toward x)
-        if len(fixed_x) >= len(fixed_y):
-            major, minor, j = x, y, fixed_y[0]
-        else:
-            major, minor, j = y, x, fixed_x[0]
-        new_branch[pz] = major
-        for i in incident:
-            if i == j:
-                new_paths[i] = (major, minor) + tail[i]
-            else:
-                new_paths[i] = (major,) + tail[i]
-    else:
-        # 2-2 split of a degree-4 branch vertex: K5 only
-        if pattern is not Pattern.K5 or flex:
-            raise InternalInconsistencyError(
-                f"{pattern.value} branch vertex split between both ends of "
-                "the contracted edge"
-            )
-        return _rebuild_k33(g, x, y, cert, pz, fixed_x, fixed_y, tail, inv)
-
-    # restore the pattern-edge orientation (branch[pu] first)
-    out = []
-    for i, (pu, pv) in enumerate(edge_list):
-        path = new_paths[i]
-        if path[0] != new_branch[pu]:
-            path = path[::-1]
-        out.append(path)
-    return SubdivisionCertificate(pattern, tuple(new_branch), tuple(out))
-
-
-def _rebuild_k33(
-    g: Graph,
-    x: int,
-    y: int,
-    cert: SubdivisionCertificate,
-    pz: int,
-    fixed_x: list[int],
-    fixed_y: list[int],
-    tail: dict[int, tuple[int, ...]],
-    inv: dict[int, int],
-) -> SubdivisionCertificate:
-    """K5 branch vertex split 2-2 into x and y.
-
-    With x carrying the strands to pattern vertices a, b and y the strands
-    to c, d, the six K3,3 branch vertices are (a, b, y | c, d, x): x joins
-    a, b by its strands and y by the edge xy; y joins c, d by its strands;
-    the four kept K5 paths a-c, a-d, b-c, b-d supply the rest.  The K5
-    paths a-b and c-d are discarded.
-    """
-    edge_list = cert.pattern.edge_list
-
-    def other(i: int) -> int:
-        pu, pv = edge_list[i]
-        return pv if pu == pz else pu
-
-    xa, xb = sorted(other(i) for i in fixed_x)
-    yc, yd = sorted(other(i) for i in fixed_y)
-    strand: dict[int, tuple[int, ...]] = {}
-    for i in fixed_x + fixed_y:
-        strand[other(i)] = tail[i]
-
-    def t(w: int) -> int:
-        return inv[w]
-
-    def k5_path(p: int, q: int) -> tuple[int, ...]:
-        p, q = min(p, q), max(p, q)
-        i = edge_list.index((p, q))
-        return tuple(t(w) for w in cert.paths[i])
-
-    b = {p: t(cert.branch[p]) for p in (xa, xb, yc, yd)}
-    new_branch = (b[xa], b[xb], y, b[yc], b[yd], x)
-
-    def oriented(path: tuple[int, ...], start: int) -> tuple[int, ...]:
-        return path if path[0] == start else path[::-1]
-
-    paths = (
-        oriented(k5_path(xa, yc), b[xa]),
-        oriented(k5_path(xa, yd), b[xa]),
-        oriented((x,) + strand[xa], b[xa]),
-        oriented(k5_path(xb, yc), b[xb]),
-        oriented(k5_path(xb, yd), b[xb]),
-        oriented((x,) + strand[xb], b[xb]),
-        oriented((y,) + strand[yc], y),
-        oriented((y,) + strand[yd], y),
-        (y, x),
-    )
-    return SubdivisionCertificate(Pattern.K33, new_branch, paths)
-
-
-# ---------------------------------------------------------------------------
 # Obstruction read-off
 # ---------------------------------------------------------------------------
 
@@ -934,6 +712,41 @@ def read_off(chains: dict[int, list[tuple[int, ...]]]) -> SubdivisionCertificate
     return SubdivisionCertificate(pattern, tuple(branch), tuple(paths))
 
 
+def _split_k5(
+    pattern: Pattern,
+    edges: list[Edge],
+    chains: dict[int, list[tuple[int, ...]]],
+    part: dict[int, int],
+    droppable: list[Edge],
+) -> dict[int, list[tuple[int, ...]]]:
+    """The chains of a K3,3 inside a K5 subdivision whose branch vertex
+    is split 2-2 over two vertices: the paper's contraction lemma.
+
+    `chains = pruned_chains(edges)` holds two branch vertices, x and y,
+    where the K5 has one; `part` maps each branch vertex to its
+    pattern vertex, and dropping `droppable[k]` from `edges` cuts the
+    chain of pattern edge k.  With x's other chains reaching pattern
+    vertices a, b and y's reaching c, d, dropping a-b and c-d and pruning
+    again leaves the K3,3 (a, b, y | c, d, x).  A split branch vertex of
+    any other pattern raises InternalInconsistencyError.
+    """
+    if pattern is not Pattern.K5:
+        raise InternalInconsistencyError(
+            f"{pattern.value} branch vertex split over two vertices"
+        )
+    x, y = next(
+        (x, path[-1])
+        for x in sorted(chains)
+        for path in chains[x]
+        if part[path[-1]] == part[x]
+    )
+    a, b = sorted(part[path[-1]] for path in chains[x] if path[-1] != y)
+    c, d = sorted(part[path[-1]] for path in chains[y] if path[-1] != x)
+    edge_list = pattern.edge_list
+    drop = {droppable[edge_list.index((a, b))], droppable[edge_list.index((c, d))]}
+    return pruned_chains(e for e in edges if e not in drop)
+
+
 # ---------------------------------------------------------------------------
 # Minor certificate -> subdivision certificate
 # ---------------------------------------------------------------------------
@@ -947,10 +760,9 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
     leaves, keeps in each set the subtree that joins its crossing edges.
     A set with three crossing edges (theta, K3,3) keeps one branch vertex
     of degree 3.  A K5 set, with four, keeps one of degree 4 or two of
-    degree 3, x and y.  With x's other chains leading to sets a, b and
-    y's to c, d, dropping the crossing edges a-b and c-d and pruning again
-    leaves a K3,3 subdivision (a, b, y | c, d, x), as in `_rebuild_k33`.
-    A K5 minor may therefore come back as a K3,3 subdivision.
+    degree 3, which `_split_k5` turns into a K3,3 by dropping two
+    crossing edges.  A K5 minor may therefore come back as a K3,3
+    subdivision.
     """
     if not validate_minor(g, cert):
         raise ValueError("minor certificate does not validate")
@@ -961,17 +773,7 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
     chains = pruned_chains(edges)
     if len(chains) > cert.pattern.branch_count:  # a K5 set kept x and y
         set_of = {v: p for p, s in enumerate(cert.branch_sets) for v in s}
-        x, y = next(
-            (x, path[-1])
-            for x in sorted(chains)
-            for path in chains[x]
-            if set_of[path[-1]] == set_of[x]
-        )
-        a, b = sorted(set_of[path[-1]] for path in chains[x] if path[-1] != y)
-        c, d = sorted(set_of[path[-1]] for path in chains[y] if path[-1] != x)
-        edge_list = cert.pattern.edge_list
-        drop = {cross[edge_list.index((a, b))], cross[edge_list.index((c, d))]}
-        chains = pruned_chains(e for e in edges if e not in drop)
+        chains = _split_k5(cert.pattern, edges, chains, set_of, cross)
     return read_off(chains)
 
 
@@ -988,3 +790,78 @@ def _spanning_tree_edges(g: Graph, s: frozenset[int]) -> list[Edge]:
                 tree.append(normalize_edge(v, w))
                 frontier.append(w)
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Certificate lifting through contraction
+# ---------------------------------------------------------------------------
+
+
+def lift_certificate(
+    g: Graph, x: int, y: int, cert: SubdivisionCertificate
+) -> SubdivisionCertificate:
+    """Translate a certificate valid in G/xy into one valid in G.
+
+    Each path edge at the merged vertex lifts to whichever of x, y its far
+    end is adjacent to in G.  A far end adjacent to both goes to the end
+    that more of the other strands must take, x on a tie.  When both ends
+    keep strands the edge xy joins them, and the certificate is read off
+    the lifted edges as in `read_off`.
+
+    Pattern rule: K3,3 and theta lift to themselves; K5 lifts to K5 unless
+    the merged vertex is a branch vertex whose four strands split 2-2
+    between x and y, in which case the lift is a K3,3 subdivision.
+    """
+    if not g.has_edge(x, y):
+        raise ValueError(f"({x}, {y}) is not an edge")
+    return lift_through_contraction(g, x, y, contract_edge(g, (x, y)), cert)
+
+
+def lift_through_contraction(
+    g: Graph,
+    x: int,
+    y: int,
+    contraction: tuple[Graph, int, VertexMap],
+    cert: SubdivisionCertificate,
+) -> SubdivisionCertificate:
+    """`lift_certificate` for a caller that already holds
+    `contraction = contract_edge(g, (x, y))` for an edge xy of g; the
+    certificate is still validated in the contracted graph first."""
+    contracted, z, vmap = contraction
+    if not validate_subdivision(contracted, cert):
+        raise ValueError("certificate does not validate in the contracted graph")
+    inv = [-1] * contracted.n  # z stays -1 until each edge at it is lifted
+    for old, new in enumerate(vmap):
+        if old != x and old != y:
+            if new is None:
+                raise InternalInconsistencyError(
+                    f"contraction of ({x}, {y}) dropped vertex {old}"
+                )
+            inv[new] = old
+    edges = [(inv[a], inv[b]) for path in cert.paths for a, b in zip(path, path[1:])]
+    at_z = [i for i, e in enumerate(edges) if -1 in e]
+    if at_z:
+        # each edge at z lifts to the end of xy its far end w meets in g;
+        # a w that meets both goes to the end more of the others must
+        # take, x on a tie
+        far = [max(edges[i]) for i in at_z]
+        xm, ym = g.adj_mask[x], g.adj_mask[y]
+        if any(not (xm | ym) >> w & 1 for w in far):
+            raise InternalInconsistencyError("contracted adjacency has no preimage")
+        held_x = sum(not ym >> w & 1 for w in far)
+        held_y = sum(not xm >> w & 1 for w in far)
+        major, minor, major_mask = (x, y, xm) if held_x >= held_y else (y, x, ym)
+        for i, w in zip(at_z, far):
+            edges[i] = (major if major_mask >> w & 1 else minor, w)
+        if held_x and held_y:
+            edges.append((x, y))
+    chains = pruned_chains(edges)
+    if len(chains) > cert.pattern.branch_count:  # z's strands split 2-2
+        part = {inv[b]: p for p, b in enumerate(cert.branch)}
+        part[x] = part[y] = part.pop(-1)
+        droppable, k = [], 0  # the first edge of each path
+        for path in cert.paths:
+            droppable.append(edges[k])
+            k += len(path) - 1
+        chains = _split_k5(cert.pattern, edges, chains, part, droppable)
+    return read_off(chains)

@@ -185,6 +185,19 @@ def test_face_walks_reads_raw_cycles_from_any_start_and_meets_each_dart_once():
             face_walks(k4, bad)
 
 
+def test_face_walks_skips_the_search_for_sorted_cycles_as_lists_too(monkeypatch):
+    # certify passes the JSON lists: a list equal to g.adj[v] must take the
+    # same shortcut as the tuple, with no dart looked up by bisection
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    want = face_walks(g, g.adj)
+
+    def refuse(*args):
+        raise AssertionError("a sorted cycle was searched")
+
+    monkeypatch.setattr(embedding.bisect, "bisect_left", refuse)
+    assert face_walks(g, [list(cyc) for cyc in g.adj]) == want
+
+
 def test_rotation_canonicalization_and_equality():
     r1 = RotationSystem([(1, 2, 3), ()])  # not a real graph; pure value checks
     r2 = RotationSystem([(2, 3, 1), ()])

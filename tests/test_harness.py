@@ -1,7 +1,9 @@
+import collections
 import itertools
 
 import pytest
 
+from planarcert import harness
 from planarcert.errors import CapacityError
 from planarcert.graphs import (
     Graph,
@@ -24,6 +26,7 @@ from planarcert.harness import (
     verify_lifting,
     verify_menger_cubic,
 )
+from planarcert.subdivision import Pattern
 
 
 def test_random_graph_extremes():
@@ -132,6 +135,26 @@ def test_verify_lifting_small():
     assert r.passed
     assert r.graphs_examined == 40
     assert r.nonplanar_count > 0  # some contractions must produce obstructions
+
+
+def test_lift_patterns_over_the_seed_42_lifting_stream(monkeypatch):
+    # (pattern found in G/xy, pattern lifted to G) over every lift of the
+    # criterion-6 stream; only a K5 whose branch vertex splits 2-2 changes
+    counts = collections.Counter()
+    real = harness.lift_through_contraction
+
+    def spy(g, x, y, contraction, cert):
+        lifted = real(g, x, y, contraction, cert)
+        counts[cert.pattern, lifted.pattern] += 1
+        return lifted
+
+    monkeypatch.setattr(harness, "lift_through_contraction", spy)
+    assert verify_lifting(1000, seed=42).passed
+    assert counts == {
+        (Pattern.K33, Pattern.K33): 263,
+        (Pattern.K5, Pattern.K33): 107,
+        (Pattern.K5, Pattern.K5): 3194,
+    }
 
 
 def test_reports_are_deterministic():

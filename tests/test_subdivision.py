@@ -355,6 +355,13 @@ def test_lift_3_1_split_keeps_k5():
     lifted = lift_certificate(g, 0, 5, cert)
     assert lifted.pattern is Pattern.K5
     assert validate_subdivision(g, lifted)
+    # x=0 must take 1, y=5 must take 2 and 3, and 4 meets both: 4 goes to
+    # y, which then holds three strands (sending 4 to x, as on a tie,
+    # would split 2-2 and give K3,3)
+    g = split_k5_vertex((1, 4), (2, 3, 4))
+    lifted = lift_certificate(g, 0, 5, find_kuratowski(contract_edge(g, (0, 5))[0]))
+    assert lifted.pattern is Pattern.K5 and validate_subdivision(g, lifted)
+    assert {(1, 0, 5), (5, 0, 1)} & set(lifted.paths)
 
 
 def test_lift_unused_merged_vertex():
@@ -439,6 +446,16 @@ def test_lift_refuses_a_2_2_split_outside_k5(monkeypatch):
     assert validate_subdivision(contracted, cert)
     with pytest.raises(InternalInconsistencyError):
         lift_certificate(g, 0, 1, cert)
+    # the same split as a minor: branch set {0, 1, 3, 4, 5, 6} keeps 0
+    # and 1 as branch vertices, each with two of the four crossing edges
+    m = MinorCertificate(
+        Pattern.THETA,
+        (frozenset({0, 1, 3, 4, 5, 6}), frozenset({2})),
+        tuple((w, 2) for w in (3, 4, 5, 6)),
+    )
+    assert validate_minor(g, m)
+    with pytest.raises(InternalInconsistencyError):
+        minor_to_subdivision(g, m)
 
 
 @settings(max_examples=60, deadline=None)

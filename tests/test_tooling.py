@@ -66,3 +66,36 @@ def test_every_traced_function_resolves():
         )
     ]
     assert missing == []
+
+
+def test_every_private_definition_is_used():
+    # a module-level _helper that nothing calls any more is what a refactor
+    # leaves behind; a use inside its own body does not count
+    tree_of = {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    uses: dict[str, int] = {}
+    for tree in tree_of.values():
+        for name in names(tree):
+            uses[name] = uses.get(name, 0) + 1
+    orphans = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in tree_of.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses.get(node.name, 0) <= sum(n == node.name for n in names(node))
+    ]
+    assert orphans == []
