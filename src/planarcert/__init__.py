@@ -7,15 +7,18 @@ characterizations, certificate lifting, face-boundary structure)
 exhaustively at small scale.
 """
 
-from .errors import CapacityError, InternalInconsistencyError, SearchBudgetExceeded
+from .errors import (
+    CapacityError,
+    InternalInconsistencyError,
+    SearchBudgetExceeded,
+    StepBudget,
+)
 from .graphs import (
     Edge,
     Graph,
     VertexMap,
-    are_isomorphic,
     complete_bipartite,
     complete_graph,
-    compose_vertex_maps,
     contract_edge,
     cycle_graph,
     delete_edge,
@@ -23,17 +26,14 @@ from .graphs import (
     delete_vertices,
     enumerate_labeled_graphs,
     from_edge_mask,
-    identity_map,
     path_graph,
     petersen_graph,
-    smooth,
     subdivide_edge,
 )
 from .embedding import (
     Dart,
     FaceSet,
     RotationSystem,
-    StepBudget,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
@@ -61,11 +61,11 @@ from .lemmas import (
     condition3,
     lemma_report,
 )
+from .documents import format_edge_list, parse_edge_list
 from .planarity import (
     DecisionConfig,
     DecisionPath,
     Verdict,
-    cross_check,
     decide,
     decide_via_minor,
 )

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalInconsistencyError, SearchBudgetExceeded
+from .errors import InternalInconsistencyError, StepBudget
 from .graphs import Edge, Graph, normalize_edge
 from .subdivision import (
     SubdivisionCertificate,
@@ -103,11 +103,6 @@ class FaceSet:
     face_count: int
     components: int
     genus: int
-
-    @property
-    def faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """Each face as its closed dart walk."""
-        return tuple(map(_walk_darts, self.walks))
 
 
 def _walk_darts(walk: tuple[int, ...]) -> tuple[Dart, ...]:
@@ -224,18 +219,6 @@ def genus(g: Graph, rho: RotationSystem) -> int:
     return trace_faces(g, rho).genus
 
 
-def face_boundary(g: Graph, faces: FaceSet, f: int) -> Graph:
-    """Subgraph of vertices and edges on face f's walk, ids compacted in
-    ascending order of the original labels."""
-    if not 0 <= f < faces.face_count:
-        raise ValueError(f"face index {f} out of range")
-    walk = faces.walks[f]
-    verts = sorted(set(walk))
-    relabel = {v: i for i, v in enumerate(verts)}
-    edges = {normalize_edge(relabel[u], relabel[v]) for u, v in _walk_darts(walk)}
-    return Graph(len(verts), edges)
-
-
 def face_covering_all_edges(g: Graph, faces: FaceSet) -> int | None:
     """Index of a face whose walk visits every edge of g, if any."""
     all_edges = g.edges
@@ -247,61 +230,9 @@ def face_covering_all_edges(g: Graph, faces: FaceSet) -> int | None:
     return None
 
 
-def rotations_equivalent(rho1: RotationSystem, rho2: RotationSystem) -> bool:
-    """Equal up to global reflection (the sphere's mirror symmetry)."""
-    if rho1.n != rho2.n or any(
-        tuple(sorted(a)) != tuple(sorted(b))
-        for a, b in zip(rho1.order, rho2.order)
-    ):
-        raise ValueError("rotation systems belong to different graphs")
-    return rho1 == rho2 or rho1 == rho2.reversed()
-
-
-def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:
-    """All rotation systems of g: the product over vertices of the
-    (deg - 1)! cyclic orders of their darts."""
-    per_vertex: list[list[tuple[int, ...]]] = []
-    for nbrs in g.adj:
-        if len(nbrs) <= 2:
-            per_vertex.append([nbrs])
-        else:
-            anchor, rest = nbrs[0], nbrs[1:]
-            per_vertex.append(
-                [(anchor,) + p for p in itertools.permutations(rest)]
-            )
-    for combo in itertools.product(*per_vertex):
-        yield RotationSystem(combo)
-
-
 # ---------------------------------------------------------------------------
 # Genus-0 search
 # ---------------------------------------------------------------------------
-
-
-class StepBudget:
-    """A count of search steps that several searches can draw on together;
-    a limit of None never runs out."""
-
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int | None) -> None:
-        self.remaining = limit
-
-    def tick(self) -> None:
-        if self.remaining is None:
-            return
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise SearchBudgetExceeded("search budget exhausted")
-
-    def spend(self, steps: int) -> None:
-        """Charge `steps` steps at once: what as many ticks would charge,
-        raising iff the last of them would."""
-        if self.remaining is None:
-            return
-        self.remaining -= steps
-        if self.remaining < 0:
-            raise SearchBudgetExceeded("search budget exhausted")
 
 
 def _step_budget(node_budget: int | StepBudget | None) -> StepBudget:

@@ -44,16 +44,14 @@ class Graph:
     `Graph.from_adjacency(adj, m)` takes sorted lists as they are.
 
     `adj` lists each vertex's neighbors in ascending order.  The edge set,
-    the per-vertex neighbor bitmasks (n bits each), the components, the
-    isomorphism test's vertex profiles and the hash are built on first
-    use: the certificate audit reads only `adj` and the components, only
-    the small-graph searches read the masks, and building the masks for a
-    large graph costs O(n * m / 64).
+    the per-vertex neighbor bitmasks (n bits each), the components and
+    the hash are built on first use: the certificate audit reads only
+    `adj` and the components, only the small-graph searches read the
+    masks, and building the masks for a large graph costs O(n * m / 64).
     """
 
     __slots__ = (
-        "n", "num_edges", "adj", "_edges", "_adj_mask", "_components",
-        "_profiles", "_hash",
+        "n", "num_edges", "adj", "_edges", "_adj_mask", "_components", "_hash",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
@@ -90,7 +88,6 @@ class Graph:
         self._edges: frozenset[Edge] | None = None
         self._adj_mask: tuple[int, ...] | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
-        self._profiles: list[tuple[int, tuple[int, ...]]] | None = None
         self._hash: int | None = None
 
     @property
@@ -250,11 +247,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def theta_graph() -> Graph:
-    """Two degree-3 vertices joined by three 2-edge paths (K_{2,3})."""
-    return complete_bipartite(2, 3)
-
-
 def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
@@ -262,31 +254,9 @@ def petersen_graph() -> Graph:
     return Graph(10, edges)
 
 
-def cube_graph() -> Graph:
-    """The 3-cube Q3: vertices are 3-bit strings, edges flip one bit."""
-    edges = []
-    for v in range(8):
-        for bit in (1, 2, 4):
-            if v < v ^ bit:
-                edges.append((v, v ^ bit))
-    return Graph(8, edges)
-
-
 # ---------------------------------------------------------------------------
-# Vertex maps
+# Structural operations
 # ---------------------------------------------------------------------------
-
-
-def identity_map(n: int) -> VertexMap:
-    return tuple(range(n))
-
-
-def compose_vertex_maps(first: VertexMap, second: VertexMap) -> VertexMap:
-    """Map of applying `first` then `second`."""
-    out: list[int | None] = []
-    for mid in first:
-        out.append(None if mid is None else second[mid])
-    return tuple(out)
 
 
 def _compaction_map(n: int, removed: set[int]) -> VertexMap:
@@ -299,11 +269,6 @@ def _compaction_map(n: int, removed: set[int]) -> VertexMap:
             out.append(nxt)
             nxt += 1
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Structural operations
-# ---------------------------------------------------------------------------
 
 
 def _renamed(adj: tuple[tuple[int, ...], ...], vmap: VertexMap) -> list[list[int]]:
@@ -394,117 +359,6 @@ def subdivide_edge(g: Graph, e: Edge) -> Graph:
     adj[v] = tuple(x for x in adj[v] if x != u) + (w,)
     adj.append(e)
     return Graph.from_adjacency(tuple(adj), g.num_edges + 1)
-
-
-def smooth(g: Graph) -> tuple[Graph, VertexMap]:
-    """Suppress degree-2 vertices until a fixed point is reached.
-
-    A degree-2 vertex is suppressed (removed, its neighbors joined) only
-    when its two neighbors are not already adjacent; suppressing it would
-    otherwise create a parallel edge.  Cycle components shrink to
-    triangles under this rule, so homeomorphism of cycles reduces to
-    isomorphism.  Isolated vertices are untouched.
-    """
-    cur = g
-    vmap = identity_map(g.n)
-    while True:
-        target = None
-        for v in range(cur.n):
-            if len(cur.adj[v]) == 2:
-                a, b = cur.adj[v]
-                if not cur.has_edge(a, b):
-                    target = (v, a, b)
-                    break
-        if target is None:
-            return cur, vmap
-        v, a, b = target
-        step = _compaction_map(cur.n, {v})
-        sa, sb = step[a], step[b]
-        if sa is None or sb is None:
-            raise InternalInconsistencyError(
-                "smoothing removed a neighbor of the suppressed vertex"
-            )
-        adj = _renamed(cur.adj, step)
-        bisect.insort(adj[sa], sb)
-        bisect.insort(adj[sb], sa)
-        cur = Graph.from_adjacency(tuple(map(tuple, adj)), cur.num_edges - 1)
-        vmap = compose_vertex_maps(vmap, step)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism and homeomorphism
-# ---------------------------------------------------------------------------
-
-
-def _vertex_profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    """(degree, sorted neighbor degrees) of every vertex, built once per
-    graph: a fixed graph such as `lemmas`' K5 is compared many times."""
-    profiles = g._profiles
-    if profiles is None:
-        degs = [len(nbrs) for nbrs in g.adj]
-        profiles = g._profiles = [
-            (degs[v], tuple(sorted(degs[u] for u in g.adj[v]))) for v in range(g.n)
-        ]
-    return profiles
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Vertex bijection preserving adjacency, by pruned backtracking.
-
-    Prunes on degree sequences and neighbor-degree multisets; intended
-    for the small graphs (n <= 10) used throughout this package.
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if g.n == 0:
-        return True
-    pg = _vertex_profiles(g)
-    ph = _vertex_profiles(h)
-    if sorted(pg) != sorted(ph):
-        return False
-
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for prof in ph:
-        counts[prof] = counts.get(prof, 0) + 1
-    # rarest profile first, then high degree: fail as early as possible
-    order = sorted(range(g.n), key=lambda v: (counts[pg[v]], -len(g.adj[v]), v))
-
-    n = g.n
-    mapped = [-1] * n
-    used = [False] * n
-    gm = g.adj_mask
-    hm = h.adj_mask
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        prof = pg[v]
-        for w in range(n):
-            if used[w] or ph[w] != prof:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if (gm[v] >> u & 1) != (hm[w] >> mapped[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapped[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
-def are_homeomorphic(g: Graph, h: Graph) -> bool:
-    """True iff the smoothed forms are isomorphic."""
-    sg, _ = smooth(g)
-    sh, _ = smooth(h)
-    return are_isomorphic(sg, sh)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
-from .graphs import Graph, contract_edge, from_edge_mask
+from .graphs import Graph, contract_edge, enumerate_labeled_graphs, from_edge_mask
 from .lemmas import condition1, condition2, condition3
-from .planarity import DEFAULT_CONFIG, DecisionConfig, decide_via_minor, route_bits
+from .planarity import decide_via_minor, route_bits
 from .embedding import find_covering_planar_rotation
 from .subdivision import (
     Pattern,
@@ -44,6 +44,12 @@ Rng = random.Random
 
 MAX_EXHAUSTIVE_N = 6
 MAX_CLASS_N = 7
+# the random campaigns' fixed shape: tries per cubic graph, the cubic sizes
+# cycled through, and the lifting stream's edge probabilities and largest n
+CUBIC_RETRIES = 10_000
+MENGER_CUBIC_SIZES = (8, 10, 12)
+LIFTING_PS = (0.3, 0.5, 0.7)
+LIFTING_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,12 @@ def random_graph(n: int, p: float, rng: Rng) -> Graph:
     return Graph.from_adjacency(tuple(map(tuple, adj)), m)
 
 
-def random_cubic_graph(n: int, rng: Rng, max_retries: int = 10_000) -> Graph:
+def random_cubic_graph(n: int, rng: Rng) -> Graph:
     """Random connected 3-regular graph: three overlaid perfect matchings,
     rejecting overlaps (parallel edges) and disconnected unions."""
     if n < 4 or n % 2:
         raise ValueError("cubic graphs need an even vertex count >= 4")
-    for _ in range(max_retries):
+    for _ in range(CUBIC_RETRIES):
         adj: list[list[int]] = [[] for _ in range(n)]
         ok = True
         for _ in range(3):
@@ -139,7 +145,7 @@ def random_cubic_graph(n: int, rng: Rng, max_retries: int = 10_000) -> Graph:
         g = Graph.from_adjacency(tuple(map(tuple, map(sorted, adj))), 3 * n // 2)
         if g.is_connected():
             return g
-    raise RuntimeError(f"no connected cubic graph found in {max_retries} tries")
+    raise RuntimeError(f"no connected cubic graph found in {CUBIC_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +175,12 @@ def _mask_orbit(mask: int, columns: list[tuple[int, ...]], count: int) -> list[i
     return list(images)
 
 
-def canonical_edge_mask(g: Graph) -> int:
-    """Minimum edge bitmask over all vertex relabelings (n <= 7)."""
-    if g.n > MAX_CLASS_N:
-        raise CapacityError(f"canonical form supports n <= {MAX_CLASS_N}")
-    return min(_mask_orbit(g.edge_mask(), _edge_bit_columns(g.n), math.factorial(g.n)))
-
-
 def enumerate_graph_class_masks(n: int) -> list[int]:
     """One edge mask per isomorphism class of n-vertex graphs, ascending.
 
     Walks all 2^C(n,2) masks in order and marks each newly seen mask's
     whole relabeling orbit, so the representative kept for every class is
-    its minimum mask -- the same canonical form canonical_edge_mask picks.
+    its least edge mask over all relabelings.
     """
     if n > MAX_CLASS_N:
         raise CapacityError(f"class enumeration supports n <= {MAX_CLASS_N}")
@@ -244,44 +243,36 @@ def _labeled_graphs(max_n: int) -> Iterator[Graph]:
         raise CapacityError(
             f"labeled exhaustive mode supports max_n <= {MAX_EXHAUSTIVE_N}"
         )
-    return (
-        from_edge_mask(n, mask)
-        for n in range(1, max_n + 1)
-        for mask in range(1 << (n * (n - 1) // 2))
+    return itertools.chain.from_iterable(
+        map(enumerate_labeled_graphs, range(1, max_n + 1))
     )
 
 
-def _route_agreement(
-    name: str, graphs: Iterable[Graph], config: DecisionConfig
-) -> CampaignReport:
+def _route_agreement(name: str, graphs: Iterable[Graph]) -> CampaignReport:
     """Confront the four routes on every graph; the subdivision route
     supplies the planar count."""
 
     def judge(g: Graph) -> Judgement:
-        bits = route_bits(g, config)
+        bits = route_bits(g)
         return (1, 0, bits.agree) if bits.subdivision else (0, 1, bits.agree)
 
     return _campaign(name, graphs, judge)
 
 
-def verify_kuratowski(
-    max_n: int, config: DecisionConfig = DEFAULT_CONFIG
-) -> CampaignReport:
+def verify_kuratowski(max_n: int) -> CampaignReport:
     """The left-right test, subdivision route, minor route and raw
     embedding search must agree on every labeled graph with up to max_n
     vertices."""
-    return _route_agreement("kuratowski", _labeled_graphs(max_n), config)
+    return _route_agreement("kuratowski", _labeled_graphs(max_n))
 
 
-def verify_kuratowski_classes(
-    n: int = 7, config: DecisionConfig = DEFAULT_CONFIG
-) -> CampaignReport:
+def verify_kuratowski_classes(n: int = 7) -> CampaignReport:
     """Same four-route agreement over one representative per isomorphism
     class of n-vertex graphs."""
     if n > MAX_CLASS_N:
         raise CapacityError(f"class mode supports n <= {MAX_CLASS_N}")
     graphs = (from_edge_mask(n, mask) for mask in enumerate_graph_class_masks(n))
-    return _route_agreement("kuratowski_classes", graphs, config)
+    return _route_agreement("kuratowski_classes", graphs)
 
 
 def _lemma_judgement(g: Graph) -> Judgement:
@@ -289,14 +280,16 @@ def _lemma_judgement(g: Graph) -> Judgement:
     characterized = 0
     c2 = condition2(g)
     c3 = condition3(g)
+    c1 = condition1(g) if c2 else None
     if c3 and not c2:
         ok = False
-    if c2 and not condition1(g):
+    if c2 and not c1:
         ok = False
     if c2 and any(len(a) < 3 for a in g.adj):
         ok = False  # a cycle remainder at every edge forces degree >= 3
     if ok and g.num_edges and all(len(a) >= 3 for a in g.adj):
-        c1 = condition1(g)
+        if c1 is None:
+            c1 = condition1(g)
         if c1 != c3 or c2 != c3:
             ok = False
         if c3:
@@ -329,22 +322,18 @@ def verify_chartrand_harary(max_n: int) -> CampaignReport:
     )
 
 
-def verify_menger_cubic(
-    samples: int,
-    seed: int,
-    sizes: tuple[int, ...] = (8, 10, 12),
-    config: DecisionConfig = DEFAULT_CONFIG,
-) -> CampaignReport:
+def verify_menger_cubic(samples: int, seed: int) -> CampaignReport:
     """On random connected cubic graphs, planarity must coincide with the
     absence of a K3,3 subdivision, and no K5 subdivision may ever fit
     (branch vertices would need degree 4)."""
     rng = make_rng(seed)
+    sizes = MENGER_CUBIC_SIZES
     graphs = (
         random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)
     )
 
     def judge(g: Graph) -> Judgement:
-        verdict = decide_via_minor(g, config)
+        verdict = decide_via_minor(g)
         k33 = find_subdivision(g, Pattern.K33)
         k5 = find_subdivision(g, Pattern.K5)
         ok = verdict.planar == (k33 is None) and k5 is None
@@ -376,20 +365,16 @@ def _lifting_judgement(g: Graph) -> Judgement:
     return planar_contractions, lifted_count, ok
 
 
-def verify_lifting(
-    samples: int,
-    seed: int,
-    ps: tuple[float, ...] = (0.3, 0.5, 0.7),
-    max_n: int = 9,
-) -> CampaignReport:
+def verify_lifting(samples: int, seed: int) -> CampaignReport:
     """For every edge xy of every sampled graph: any obstruction found in
     G/xy must lift to a validating certificate in G under the pattern rule
     (K3,3 stays K3,3; K5 lifts to K5 or K3,3).  Planar contractions are
     skipped but counted."""
     rng = make_rng(seed)
     # each sample draws its vertex count, then its edges
+    ps = LIFTING_PS
     graphs = (
-        random_graph(rng.randint(4, max_n), ps[i % len(ps)], rng)
+        random_graph(rng.randint(4, LIFTING_MAX_N), ps[i % len(ps)], rng)
         for i in range(samples)
     )
     return _campaign("lifting", graphs, _lifting_judgement)

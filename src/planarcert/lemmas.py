@@ -6,7 +6,8 @@ graphs where they matter (at least one edge, minimum degree >= 3):
 
   condition1: every K - x - y is theta-free and has minimum degree >= 2;
   condition2: every K - x - y is a cycle on >= 3 vertices;
-  condition3: K is isomorphic to K5 or to K3,3.
+  condition3: K is isomorphic to K5 or to K3,3 (read off its vertex and
+              edge counts and the neighbors of one vertex).
 
 The implications (3) => (2) => (1) hold for every graph with an edge and
 are checked whenever a report is built; the converse direction is what
@@ -19,11 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InternalInconsistencyError
-from .graphs import Edge, Graph, are_isomorphic, complete_bipartite, complete_graph, delete_vertices, normalize_edge
+from .graphs import Edge, Graph, delete_vertices
 from .subdivision import contains_theta
-
-_K5 = complete_graph(5)
-_K33 = complete_bipartite(3, 3)
 
 REASON_THETA = "theta-found"
 REASON_LOW_DEGREE = "low-degree"
@@ -91,20 +89,18 @@ def condition2(g: Graph) -> bool:
 
 
 def condition3(g: Graph) -> bool:
-    return are_isomorphic(g, _K5) or are_isomorphic(g, _K33)
-
-
-def deletion_lemma_predicates(g: Graph, x: int, y: int) -> tuple[bool, bool]:
-    """(degree bound holds, theta-free) for G - x - y over an edge xy.
-
-    The degree bound requires G - x - y to be nonempty with all degrees
-    >= 2.
-    """
-    if normalize_edge(x, y) not in g.edges:
-        raise ValueError(f"({x}, {y}) is not an edge")
-    reduced, _ = delete_vertices(g, (x, y))
-    deg_ok = reduced.n > 0 and all(len(nbrs) >= 2 for nbrs in reduced.adj)
-    return deg_ok, not contains_theta(reduced)
+    """K is K5 or K3,3, recognized by counts: K5 is the only graph with 5
+    vertices and 10 edges.  A graph with 6 vertices and 9 edges is K3,3
+    when vertex 0 has three neighbors and each vertex outside that triple
+    has exactly those three: that puts all 9 edges between the triples."""
+    if g.n == 5:
+        return g.num_edges == 10
+    if g.n != 6 or g.num_edges != 9:
+        return False
+    side = g.adj[0]
+    return len(side) == 3 and all(
+        nbrs == side for v, nbrs in enumerate(g.adj) if v not in side
+    )
 
 
 def lemma_report(g: Graph) -> LemmaReport:

@@ -30,14 +30,13 @@ from typing import NamedTuple
 from .embedding import (
     FaceSet,
     RotationSystem,
-    StepBudget,
     find_planar_rotation,
     genus,
     lr_kuratowski,
     lr_planar_rotation,
     trace_faces,
 )
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, StepBudget
 from .graphs import Graph
 from .subdivision import (
     Pattern,
@@ -59,11 +58,11 @@ class DecisionConfig:
     """`node_budget` bounds one decision: the left-right test's oriented
     edges, then the certifying route's steps (the Kuratowski extraction's
     oriented edges, or one per connected set the minor search tries),
-    all drawn from one budget.  route_bits also gives it to the
-    backtracking embedding oracle, which spends one unit per cyclic order
-    tried; its minor bit stays unbounded.  `path` picks the route that
-    certifies a non-planar answer; both routes' certificates are
-    validated before a verdict carries them."""
+    all drawn from one budget.  route_bits gives the default budget to
+    the backtracking embedding oracle too, which spends one unit per
+    cyclic order tried; its minor bit stays unbounded.  `path` picks the
+    route that certifies a non-planar answer; both routes' certificates
+    are validated before a verdict carries them."""
 
     node_budget: int = 10**9
     path: DecisionPath = DecisionPath.SUBDIVISION
@@ -141,15 +140,16 @@ class RouteBits(NamedTuple):
         return self.left_right == self.subdivision == self.minor == self.embedding
 
 
-def route_bits(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> RouteBits:
+def route_bits(g: Graph) -> RouteBits:
     """Run each of the four routes once: the left-right test (a rotation
     checked for genus 0, or a Kuratowski extraction that validates), the
     backtracking embedding search (its rotation checked for genus 0), the
     subdivision search, and the minor search with its conversion to a
-    subdivision certificate (which must validate)."""
-    emb = find_planar_rotation(g, config.node_budget)
+    subdivision certificate (which must validate).  The left-right test
+    and the embedding search each get the default node budget."""
+    emb = find_planar_rotation(g, DEFAULT_CONFIG.node_budget)
     return RouteBits(
-        left_right=_left_right_bit(g, config.node_budget),
+        left_right=_left_right_bit(g),
         subdivision=find_kuratowski(g) is None,
         minor=_minor_bit(g),
         embedding=emb is not None and genus(g, emb) == 0,
@@ -163,15 +163,8 @@ def _minor_bit(g: Graph) -> bool | None:
         return None
 
 
-def _left_right_bit(g: Graph, node_budget: int) -> bool | None:
-    # a fresh config: the bit always comes from the default route
+def _left_right_bit(g: Graph) -> bool | None:
     try:
-        return decide(g, DecisionConfig(node_budget)).planar
+        return decide(g).planar
     except InternalInconsistencyError:
         return None
-
-
-def cross_check(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> bool:
-    """True iff all four routes agree on planarity.  Disagreement returns
-    False rather than raising."""
-    return route_bits(g, config).agree

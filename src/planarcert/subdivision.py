@@ -26,9 +26,9 @@ import enum
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, StepBudget
 from .graphs import (
     Edge,
     Graph,
@@ -38,9 +38,6 @@ from .graphs import (
     contract_edge,
     normalize_edge,
 )
-
-if TYPE_CHECKING:  # embedding imports this module
-    from .embedding import StepBudget
 
 
 class Pattern(enum.Enum):
@@ -82,6 +79,7 @@ _EDGE_LIST = {
     Pattern.K33: tuple((i, 3 + j) for i in range(3) for j in range(3)),
     Pattern.THETA: ((0, 1), (0, 1), (0, 1)),
 }
+_PATTERN_OF_BRANCH_COUNT = {count: p for p, count in _BRANCH_COUNT.items()}
 
 
 @dataclass(frozen=True)
@@ -690,8 +688,8 @@ def read_off(chains: dict[int, list[tuple[int, ...]]]) -> SubdivisionCertificate
     InternalInconsistencyError.
     """
     branch = sorted(chains)
-    pattern = {2: Pattern.THETA, 5: Pattern.K5, 6: Pattern.K33}.get(len(branch))
-    if pattern is None or any(len(chains[v]) != pattern.branch_degree for v in branch):
+    pattern = _PATTERN_OF_BRANCH_COUNT.get(len(branch))
+    if pattern is None or set(map(len, chains.values())) != {pattern.branch_degree}:
         raise InternalInconsistencyError(f"{len(branch)} branch vertices: no pattern")
     if pattern is Pattern.THETA:
         paths = sorted(chains[branch[0]], key=lambda p: (len(p), p))

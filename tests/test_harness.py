@@ -7,14 +7,12 @@ from planarcert import harness
 from planarcert.errors import CapacityError
 from planarcert.graphs import (
     Graph,
-    are_isomorphic,
     complete_bipartite,
     complete_graph,
     from_edge_mask,
 )
 from planarcert.harness import (
     CampaignReport,
-    canonical_edge_mask,
     enumerate_graph_class_masks,
     make_rng,
     random_cubic_graph,
@@ -27,6 +25,8 @@ from planarcert.harness import (
     verify_menger_cubic,
 )
 from planarcert.subdivision import Pattern
+
+from reference import are_isomorphic, canonical_edge_mask
 
 
 def test_random_graph_extremes():

@@ -17,9 +17,10 @@ from planarcert.lemmas import (
     condition1,
     condition2,
     condition3,
-    deletion_lemma_predicates,
     lemma_report,
 )
+
+from reference import deletion_lemma_predicates
 
 
 def test_conditions_on_the_obstructions():

@@ -13,7 +13,6 @@ from planarcert.graphs import (
     complete_bipartite,
     complete_graph,
     contract_edge,
-    cube_graph,
     cycle_graph,
     delete_vertex,
     enumerate_labeled_graphs,
@@ -39,6 +38,7 @@ from planarcert.subdivision import (
 )
 
 from conftest import graphs
+from reference import cube_graph
 
 
 def test_pattern_shapes():

@@ -68,9 +68,10 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
-def test_every_private_definition_is_used():
-    # a module-level _helper that nothing calls any more is what a refactor
-    # leaves behind; a use inside its own body does not count
+def _unused_definitions(public: bool) -> list[str]:
+    """Module-level functions and classes, public or private, whose name
+    nothing in the package uses outside their own body; __init__'s
+    re-export counts as a use."""
     tree_of = {
         path: ast.parse(path.read_text(encoding="utf-8"), str(path))
         for path in sorted(SRC.rglob("*.py"))
@@ -89,13 +90,24 @@ def test_every_private_definition_is_used():
     for tree in tree_of.values():
         for name in names(tree):
             uses[name] = uses.get(name, 0) + 1
-    orphans = [
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in tree_of.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") != public
         and not node.name.startswith("__")
         and uses.get(node.name, 0) <= sum(n == node.name for n in names(node))
     ]
-    assert orphans == []
+
+
+def test_every_private_definition_is_used():
+    # a module-level _helper that nothing calls any more is what a refactor
+    # leaves behind; a use inside its own body does not count
+    assert _unused_definitions(public=False) == []
+
+
+def test_every_public_definition_is_used_or_exported():
+    # code only the tests call belongs in tests/reference.py, not in the
+    # package: a public definition is called by the package or exported
+    assert _unused_definitions(public=True) == []
