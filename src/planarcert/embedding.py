@@ -71,14 +71,6 @@ class RotationSystem:
         rho.order = order
         return rho
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def reversed(self) -> "RotationSystem":
-        """The mirror embedding: every cyclic order reversed."""
-        return RotationSystem(tuple(reversed(cyc)) for cyc in self.order)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RotationSystem):
             return NotImplemented
@@ -261,6 +253,14 @@ def find_planar_rotation(
     orders is tried; remaining vertices are taken densest-first among
     neighbors of the assigned region.
 
+    Once the first vertex's first order has failed, a later order there is
+    tried only if it is the least image of itself under the mirror and
+    the swaps of that vertex's twin neighbors (a, b with N(a) - b =
+    N(b) - a).  Such a swap is an automorphism fixing the vertex, so a
+    skipped order's branch is the image of one already exhausted without
+    a genus-0 completion, and the rotation returned is still the plain
+    search's; skipped orders cost no step.
+
     `node_budget` bounds the number of cyclic orders tried across the
     whole call; exceeding it raises SearchBudgetExceeded, which is
     distinct from a planarity verdict.  A component with more than
@@ -277,16 +277,17 @@ def find_planar_rotation(
     return RotationSystem.from_canonical(tuple(orders))
 
 
-def find_covering_planar_rotation(
-    g: Graph,
-    node_budget: int | None = None,
-) -> RotationSystem | None:
+def find_covering_planar_rotation(g: Graph) -> RotationSystem | None:
     """A genus-0 rotation system with one face covering every edge, if any.
 
     The first completion of find_planar_rotation's search whose traced
     faces include one covering every edge; meaningful for connected
     graphs only (a single face walk cannot leave a component), so
     disconnected inputs with edges in two components always yield None.
+    The twin cut at the first vertex keeps that completion: automorphisms
+    and the mirror map a covering face to a covering face, so a skipped
+    branch holds one only if an exhausted branch did.  The search has no
+    step bound.
 
     A covering face has at least E darts and each of the other E - V + 1
     faces at least 3, so 2E >= E + 3(E - V + 1): an edged component with
@@ -298,7 +299,7 @@ def find_covering_planar_rotation(
         return RotationSystem.from_canonical(tuple(orders))
     if len(edged) > 1 or 2 * g.num_edges > 3 * (len(edged[0]) - 1):
         return None
-    for found in _planar_rotations(g, edged[0], StepBudget(node_budget)):
+    for found in _planar_rotations(g, edged[0], StepBudget(None)):
         for v, cyc in found.items():
             orders[v] = cyc
         rho = RotationSystem.from_canonical(tuple(orders))
@@ -310,10 +311,12 @@ def find_covering_planar_rotation(
 def _planar_rotations(
     g: Graph, comp: tuple[int, ...], budget: StepBudget
 ) -> Iterator[dict[int, tuple[int, ...]]]:
-    """Every genus-0 rotation of the component comp, in search order, each
-    as a map from vertex to its cyclic order of neighbors.  Each cyclic
-    order starts at the vertex's smallest neighbor, and only one of each
-    mirror-image pair of orders at the first vertex is tried.
+    """The genus-0 rotations of the component comp, in search order, each
+    as a map from vertex to its cyclic order of neighbors, one or more per
+    orbit under the mirror and the twin swaps at the first vertex: those
+    whose order at the first vertex is the least image of itself (see
+    _has_earlier_image).  Every genus-0 rotation is the image of one of
+    them.  Each cyclic order starts at the vertex's smallest neighbor.
 
     The search runs on the component relabelled 0..nv-1 in ascending
     order, so neighbor order, and with it the search order, is g's.  Dart
@@ -390,6 +393,39 @@ def _planar_rotations(
                 continue  # mirror image already tried
             yield (lo,) + perm
 
+    def first_orders(v: int) -> Iterator[tuple[int, ...]]:
+        # v's orders up to the mirror, then only those that are the least
+        # image of themselves under the mirror and the twin swaps at v
+        orders = cyclic_orders(v, True)
+        yield next(orders)
+        # resumed once the first order's subtree is exhausted: only then
+        # are v's twin classes read.  Neighbors a, b of v are twins when
+        # N(a) - b = N(b) - a, so swapping them is an automorphism fixing v
+        lo, hi = first[v], first[v + 1]
+        if hi - lo <= 3:
+            return  # three darts have one cyclic order up to the mirror
+        # the far end's neighbors, as a bitmask, for each dart of v
+        mask = {d: sum(1 << w for w in adj[head[d]]) for d in range(lo, hi)}
+        members: list[list[int]] = []  # each twin class's darts, ascending
+        class_of = {}
+        for d in range(lo, hi):
+            for c, darts in enumerate(members):
+                e = darts[0]
+                pair = 1 << head[d] | 1 << head[e]
+                if not (mask[d] ^ mask[e]) & ~pair:
+                    darts.append(d)
+                    break
+            else:
+                c = len(members)
+                members.append([d])
+            class_of[d] = c
+        if len(members) == hi - lo:
+            yield from orders  # no twins: the mirror cut is the whole cut
+            return
+        for cyc in orders:
+            if not _has_earlier_image(cyc, members, class_of):
+                yield cyc
+
     head_of = list(range(total))
     tail_of = list(range(total))
     chain_len = [1] * total
@@ -403,7 +439,7 @@ def _planar_rotations(
     stack: list[
         tuple[Iterator[tuple[int, ...]], list[tuple[int, int, int, int]], int, int]
     ]
-    stack = [(cyclic_orders(order[0], True), [], closed, weight)]
+    stack = [(first_orders(order[0]), [], closed, weight)]
     while stack:
         untried, log, closed, weight = stack[-1]
         for t, old_head, h, old_tail in reversed(log):
@@ -452,6 +488,38 @@ def _planar_rotations(
             comp[v]: tuple([comp[head[d]] for d in darts])
             for v, darts in zip(order, chosen)
         }
+
+
+def _has_earlier_image(
+    cyc: tuple[int, ...], members: list[list[int]], class_of: dict[int, int]
+) -> bool:
+    """Whether the cyclic order cyc, which starts at its least dart, has
+    an image under the mirror and the twin swaps that starts there too and
+    comes earlier in lexicographic order.
+
+    members lists each twin class's darts in ascending order and class_of
+    maps a dart to its class.  An image starting at cyc[0] comes from a
+    rotation of cyc or of its mirror that starts at a twin of cyc[0], and
+    the least relabelling of that rotation hands each class its darts in
+    ascending order of appearance: O(deg^2) in all.  The least image of
+    all also passes the mirror cut (its second dart precedes its last), so
+    cyc has an earlier image exactly when its least image was tried before
+    it.
+    """
+    start = class_of[cyc[0]]
+    for seq in (cyc, cyc[::-1]):
+        for i, d in enumerate(seq):
+            if class_of[d] != start:
+                continue
+            taken = [0] * len(members)
+            image = []
+            for d in seq[i:] + seq[:i]:
+                c = class_of[d]
+                image.append(members[c][taken[c]])
+                taken[c] += 1
+            if tuple(image) < cyc:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

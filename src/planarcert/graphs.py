@@ -106,12 +106,6 @@ class Graph:
             )
         return mask
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= u < self.n:
             return False

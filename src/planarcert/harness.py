@@ -180,21 +180,34 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
 
     Walks all 2^C(n,2) masks in order and marks each newly seen mask's
     whole relabeling orbit, so the representative kept for every class is
-    its least edge mask over all relabelings.
+    its least edge mask over all relabelings.  Relabeling commutes with
+    complementing, so the complements of an orbit form the complementary
+    class's orbit: each new orbit is mapped once, from whichever of the
+    mask and its complement has fewer bits set, and both orbits are marked
+    together, the complementary one contributing its least mask.
     """
     if n > MAX_CLASS_N:
         raise CapacityError(f"class enumeration supports n <= {MAX_CLASS_N}")
     columns = _edge_bit_columns(n)
     count = math.factorial(n)
     bits = n * (n - 1) // 2
+    full = (1 << bits) - 1
     seen = bytearray(1 << bits)
     reps = []
     for mask in range(1 << bits):
         if seen[mask]:
             continue
-        reps.append(mask)
-        for img in _mask_orbit(mask, columns, count):
+        dense = 2 * mask.bit_count() > bits
+        orbit = _mask_orbit(full ^ mask if dense else mask, columns, count)
+        flipped = [full ^ img for img in orbit]
+        for img in itertools.chain(orbit, flipped):
             seen[img] = 1
+        # a class whose complement is seen later has a greater least mask
+        other = min(orbit if dense else flipped)
+        reps.append(mask)
+        if other != mask:
+            reps.append(other)
+    reps.sort()
     return reps
 
 

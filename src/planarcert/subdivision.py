@@ -33,8 +33,6 @@ from .graphs import (
     Edge,
     Graph,
     VertexMap,
-    complete_bipartite,
-    complete_graph,
     contract_edge,
     normalize_edge,
 )
@@ -61,15 +59,6 @@ class Pattern(enum.Enum):
         edges of the underlying multigraph.
         """
         return _EDGE_LIST[self]
-
-    @property
-    def graph(self) -> Graph:
-        """Simple-graph normal form (theta's is K_{2,3})."""
-        if self is Pattern.K5:
-            return complete_graph(5)
-        if self is Pattern.K33:
-            return complete_bipartite(3, 3)
-        return complete_bipartite(2, 3)
 
 
 _BRANCH_COUNT = {Pattern.K5: 5, Pattern.K33: 6, Pattern.THETA: 2}

@@ -1,9 +1,10 @@
 """Reference implementations only the tests use.
 
 Smoothing, the isomorphism and homeomorphism tests, brute-force rotation
-enumeration, face boundaries, the edge-deletion predicates and the
-canonical edge mask: slow or narrow helpers that check the package's own
-routes from outside, and that no command of the package runs.
+enumeration, the mirror of a rotation, face boundaries, the edge-deletion
+predicates and the canonical edge mask: slow or narrow helpers that check
+the package's own routes from outside, and that no command of the package
+runs.
 """
 
 from __future__ import annotations
@@ -192,14 +193,19 @@ def face_boundary(g: Graph, fs: FaceSet, f: int) -> Graph:
     return Graph(len(verts), edges)
 
 
+def mirror(rho: RotationSystem) -> RotationSystem:
+    """The mirror embedding: every cyclic order reversed."""
+    return RotationSystem(tuple(reversed(cyc)) for cyc in rho.order)
+
+
 def rotations_equivalent(rho1: RotationSystem, rho2: RotationSystem) -> bool:
     """Equal up to global reflection (the sphere's mirror symmetry)."""
-    if rho1.n != rho2.n or any(
+    if len(rho1.order) != len(rho2.order) or any(
         tuple(sorted(a)) != tuple(sorted(b))
         for a, b in zip(rho1.order, rho2.order)
     ):
         raise ValueError("rotation systems belong to different graphs")
-    return rho1 == rho2 or rho1 == rho2.reversed()
+    return rho1 == rho2 or rho1 == mirror(rho2)
 
 
 def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:

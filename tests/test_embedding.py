@@ -46,6 +46,7 @@ from reference import (
     enumerate_rotation_systems,
     face_boundary,
     face_darts,
+    mirror,
     rotations_equivalent,
     theta_graph,
 )
@@ -89,7 +90,7 @@ def reference_faces(g, rho):
     """Faces traced on a dict of tuple darts, every dart sorted, each
     recorded as the tails of its darts: the specification trace_faces must
     reproduce field by field.  Also returns the dart walks themselves."""
-    if rho.n != g.n or any(
+    if len(rho.order) != g.n or any(
         tuple(sorted(cyc)) != g.adj[v] for v, cyc in enumerate(rho.order)
     ):
         raise ValueError("rotation system does not match the graph")
@@ -207,7 +208,7 @@ def test_rotation_canonicalization_and_equality():
     r3 = RotationSystem([(3, 2, 1), ()])
     assert r1 == r2
     assert r1 != r3
-    assert r1.reversed() == r3
+    assert mirror(r1) == r3
     with pytest.raises(ValueError):
         RotationSystem([(1, 1)])
 
@@ -282,7 +283,7 @@ def test_euler_formula_on_planar_rotations():
 @given(graphs(max_n=5), st.integers(min_value=0, max_value=10**6))
 def test_reflection_preserves_genus(g, seed):
     rho = random_rotation(g, seed)
-    assert genus(g, rho) == genus(g, rho.reversed())
+    assert genus(g, rho) == genus(g, mirror(rho))
 
 
 def test_find_planar_rotation_examples():
@@ -373,36 +374,78 @@ def _genus0_rotations(g):
     ]
 
 
+def _first_vertex_images(g, v0, rho):
+    """rho's images under the mirror and the swaps of v0's twin neighbors
+    (a, b with N(a) - b = N(b) - a), found by brute force."""
+    classes = []
+    for a in g.adj[v0]:
+        for c in classes:
+            if set(g.adj[a]) - {c[0]} == set(g.adj[c[0]]) - {a}:
+                c.append(a)
+                break
+        else:
+            classes.append([a])
+    images = set()
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        sigma = list(range(g.n))
+        for c, p in zip(classes, perms):
+            for a, b in zip(c, p):
+                sigma[a] = b
+        order = [()] * g.n
+        for v, cyc in enumerate(rho.order):
+            order[sigma[v]] = [sigma[w] for w in cyc]
+        images |= {RotationSystem(order), mirror(RotationSystem(order))}
+    return images
+
+
 def test_search_yields_every_planar_rotation_up_to_mirror_once_and_nothing_else():
-    # the face bound may cut only branches without a genus-0 completion
-    checked = 0
+    # the face bound may cut only branches without a genus-0 completion, and
+    # the twin cut only orders at the first vertex that an image precedes:
+    # what is yielded is every genus-0 rotation whose first-vertex order is
+    # the least image of itself under the mirror and the twin swaps there.
+    # On these graphs each genus-0 rotation is the image of exactly one of
+    # them; on six vertices (mask 247) a swap that fixes the first vertex's
+    # order can make a rotation the image of two
+    checked = cut = 0
     for g in _connected_small_graphs():
         found = _genus0_rotations(g)
         planar = {
             rho for rho in enumerate_rotation_systems(g) if genus(g, rho) == 0
         }
-        mirror_pairs = {frozenset((rho, rho.reversed())) for rho in found}
-        assert len(mirror_pairs) == len(found)
-        assert set(found) <= planar
-        assert all(rho in found or rho.reversed() in found for rho in planar)
+        # the search's first vertex: the densest, then the smallest
+        v0 = max(range(g.n), key=lambda v: (len(g.adj[v]), -v))
+        images = {rho: _first_vertex_images(g, v0, rho) for rho in planar}
+        least = {
+            rho
+            for rho in planar
+            if rho.order[v0] == min(image.order[v0] for image in images[rho])
+        }
+        assert len(set(found)) == len(found)
+        assert set(found) == least
+        assert all(sum(rho in images[y] for y in found) == 1 for rho in planar)
         checked += bool(planar)
-    assert checked > 30
+        # the mirror cut alone yields one rotation per mirror pair
+        cut += 2 * len(found) < len(planar)
+    assert (checked, cut) == (64, 7)
 
 
 @pytest.mark.parametrize(
     "g, steps, planar",
     [
-        (from_edge_mask(6, 15870), 210, True),  # the octahedron
-        (from_edge_mask(6, 4095), 9388, False),  # K3,3 plus a triangle on a side
-        (from_edge_mask(6, 6143), 3348, False),
+        (from_edge_mask(6, 15870), 131, True),  # the octahedron
+        (from_edge_mask(6, 4095), 1570, False),  # K3,3 plus a triangle on a side
+        (from_edge_mask(6, 6143), 482, False),
         (petersen_graph(), 147, False),
         (complete_bipartite(3, 3), 17, False),
+        (from_edge_mask(7, 32767), 65523, False),  # a triangle joined to 4 vertices
     ],
-    ids=["octahedron", "mask4095", "mask6143", "petersen", "k33"],
+    ids=["octahedron", "mask4095", "mask6143", "petersen", "k33", "mask32767"],
 )
 def test_search_steps_stay_pinned(g, steps, planar):
     # counting every open dart toward the faces still to close took 4,200,
-    # 21,580, 13,284, 335 and 31 steps
+    # 21,580, 13,284, 335 and 31 steps; the chain bound before the twin
+    # cut at the first vertex took 210, 9,388, 3,348, 147 and 17, and
+    # 1,272,588 on mask 32767
     rho = find_planar_rotation(g, node_budget=steps)
     assert (rho is not None) == planar
     if planar:
@@ -411,20 +454,30 @@ def test_search_steps_stay_pinned(g, steps, planar):
         find_planar_rotation(g, node_budget=steps - 1)
 
 
-def test_covering_edge_count_refuses_only_graphs_without_a_covering_face():
+def test_covering_edge_count_refuses_only_graphs_without_a_covering_face(
+    monkeypatch,
+):
     # 2E > 3(V - 1) leaves no room for a face through every edge: the
     # search the count skips finds none on any connected graph with n <= 5
     refused = searched = 0
+    tried = []
     for n in range(2, 6):
         for g in enumerate_labeled_graphs(n):
             if not g.is_connected() or 2 * g.num_edges <= 3 * (n - 1):
                 continue
             refused += 1
-            assert find_covering_planar_rotation(g, node_budget=0) is None
+            with monkeypatch.context() as m:
+                m.setattr(
+                    embedding,
+                    "_planar_rotations",
+                    lambda *args: tried.append(args) or iter(()),
+                )
+                assert find_covering_planar_rotation(g) is None
             for rho in _genus0_rotations(g):
                 searched += 1
                 assert face_covering_all_edges(g, trace_faces(g, rho)) is None
-    assert (refused, searched) == (183, 332)
+    assert tried == []
+    assert (refused, searched) == (183, 242)
 
 
 def test_searches_return_the_rotations_they_returned_before_the_face_cuts():
@@ -438,6 +491,17 @@ def test_searches_return_the_rotations_they_returned_before_the_face_cuts():
                 digest.update(repr(None if rho is None else rho.order).encode())
     assert digest.hexdigest() == (
         "912bc0f3bd37ae21a142afec1d4095e6c499331a44d6cc2f38dbed97e8a5186c"
+    )
+
+
+def test_search_returns_the_rotations_it_returned_before_the_twin_cut():
+    # a digest over the 156 classes with n = 6, taken before the twin cut
+    digest = hashlib.sha256()
+    for mask in enumerate_graph_class_masks(6):
+        rho = find_planar_rotation(from_edge_mask(6, mask))
+        digest.update(repr(None if rho is None else rho.order).encode())
+    assert digest.hexdigest() == (
+        "7f11f16cb2ffd4fe8a37c40632580404739e166aeaaa2378ef1002667e578b4b"
     )
 
 
@@ -771,7 +835,7 @@ def test_rotations_equivalent():
     k4 = complete_graph(4)
     rho = find_planar_rotation(k4)
     assert rotations_equivalent(rho, rho)
-    assert rotations_equivalent(rho, rho.reversed())
+    assert rotations_equivalent(rho, mirror(rho))
     genus0 = [r for r in enumerate_rotation_systems(k4) if genus(k4, r) == 0]
     genus1 = [r for r in enumerate_rotation_systems(k4) if genus(k4, r) == 1]
     assert genus0 and genus1

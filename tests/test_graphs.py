@@ -52,9 +52,9 @@ def test_constructor_normalizes_and_dedups():
 def test_named_graphs():
     assert complete_graph(5).num_edges == 10
     assert complete_bipartite(3, 3).num_edges == 9
-    assert petersen_graph().degrees() == (3,) * 10
-    assert cube_graph().degrees() == (3,) * 8
-    assert theta_graph().degrees() == (3, 3, 2, 2, 2)
+    assert tuple(map(len, petersen_graph().adj)) == (3,) * 10
+    assert tuple(map(len, cube_graph().adj)) == (3,) * 8
+    assert tuple(map(len, theta_graph().adj)) == (3, 3, 2, 2, 2)
 
 
 def test_edge_mask_round_trip():
@@ -69,7 +69,7 @@ def test_delete_edge_examples():
     k5e = delete_edge(complete_graph(5), (2, 4))
     assert k5e.n == 5 and k5e.num_edges == 9
     k4 = delete_edge(complete_graph(4), (0, 1))
-    assert k4.degree(0) == 2 and k4.degree(1) == 2
+    assert len(k4.adj[0]) == 2 and len(k4.adj[1]) == 2
     with pytest.raises(ValueError):
         delete_edge(c3, (0, 3))
     with pytest.raises(ValueError):

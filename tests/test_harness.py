@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 
 import pytest
@@ -47,7 +48,7 @@ def test_random_cubic_graph_properties():
     rng = make_rng(9)
     for n in (4, 6, 8, 10, 12):
         g = random_cubic_graph(n, rng)
-        assert g.degrees() == (3,) * n
+        assert tuple(map(len, g.adj)) == (3,) * n
         assert g.is_connected()
     with pytest.raises(ValueError):
         random_cubic_graph(5, rng)
@@ -71,6 +72,20 @@ def test_class_counts_match_known_sequence():
     assert got == expected
     with pytest.raises(CapacityError):
         enumerate_graph_class_masks(8)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (6, "a3f8658a12828bf7016c1695878098fb61c00d70c4a4466dbcb9c48eaae39e00"),
+        (7, "0867785c6fba620811c32c1a708d57cffc21acc5a0fe8f086f41efa6c9f1e0f2"),
+    ],
+)
+def test_class_masks_are_those_listed_before_complements_were_paired(n, digest):
+    # sha256 of the listing's repr, taken when every orbit was mapped on
+    # its own rather than together with its complement's
+    masks = enumerate_graph_class_masks(n)
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -48,7 +48,8 @@ def test_pattern_shapes():
     assert len(Pattern.K5.edge_list) == 10
     assert len(Pattern.K33.edge_list) == 9
     assert Pattern.THETA.edge_list == ((0, 1), (0, 1), (0, 1))
-    assert Pattern.THETA.graph == complete_bipartite(2, 3)
+    assert Graph(5, Pattern.K5.edge_list) == complete_graph(5)
+    assert Graph(6, Pattern.K33.edge_list) == complete_bipartite(3, 3)
 
 
 def test_find_subdivision_identity_k5():

@@ -69,9 +69,17 @@ def test_every_traced_function_resolves():
 
 
 def _unused_definitions(public: bool) -> list[str]:
-    """Module-level functions and classes, public or private, whose name
-    nothing in the package uses outside their own body; __init__'s
-    re-export counts as a use."""
+    """Module-level functions and classes, and methods, public or private,
+    that nothing in the package uses outside their own body; __init__'s
+    re-export counts as a use of a module-level name.
+
+    A module-level name counts as used wherever it appears.  A method is
+    reached as an attribute, x.name, and the scan cannot tell which class
+    x holds: a read counts only when no data attribute of the package (a
+    slot, a class-level field, an attribute assigned, an argparse
+    destination) shares the name, and a call x.name(...) counts even
+    then, since data is not called.
+    """
     tree_of = {
         path: ast.parse(path.read_text(encoding="utf-8"), str(path))
         for path in sorted(SRC.rglob("*.py"))
@@ -87,27 +95,77 @@ def _unused_definitions(public: bool) -> list[str]:
                 yield sub.name
 
     uses: dict[str, int] = {}
+    data: set[str] = set()
+    reads: list[ast.Attribute] = []
+    called: set[int] = set()
     for tree in tree_of.values():
         for name in names(tree):
             uses[name] = uses.get(name, 0) + 1
-    return [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path, tree in tree_of.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") != public
-        and not node.name.startswith("__")
-        and uses.get(node.name, 0) <= sum(n == node.name for n in names(node))
-    ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        data.add(stmt.target.id)
+                    elif isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets
+                    ):
+                        data.update(ast.literal_eval(stmt.value))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    data.add(node.attr)
+                else:
+                    reads.append(node)
+            elif isinstance(node, ast.Call):
+                called.add(id(node.func))
+                if (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    data.add(node.args[0].value.lstrip("-").replace("-", "_"))
+
+    def method_used(node):
+        own = {id(sub) for sub in ast.walk(node)}
+        return any(
+            read.attr == node.name
+            and id(read) not in own
+            and (node.name not in data or id(read) in called)
+            for read in reads
+        )
+
+    found = []
+    for path, tree in tree_of.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (
+                node.name.startswith("_") != public
+                and not node.name.startswith("__")
+                and uses.get(node.name, 0) <= sum(n == node.name for n in names(node))
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            found += [
+                f"{path.name}:{method.lineno} {node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, ast.FunctionDef)
+                and method.name.startswith("_") != public
+                and not method.name.startswith("__")
+                and not method_used(method)
+            ]
+    return found
 
 
 def test_every_private_definition_is_used():
-    # a module-level _helper that nothing calls any more is what a refactor
+    # a _helper or _method that nothing calls any more is what a refactor
     # leaves behind; a use inside its own body does not count
     assert _unused_definitions(public=False) == []
 
 
 def test_every_public_definition_is_used_or_exported():
     # code only the tests call belongs in tests/reference.py, not in the
-    # package: a public definition is called by the package or exported
+    # package: a public function, class or method is called by the package,
+    # or exported if it is module-level
     assert _unused_definitions(public=True) == []
