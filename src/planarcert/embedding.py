@@ -402,8 +402,6 @@ def _planar_rotations(
         # are v's twin classes read.  Neighbors a, b of v are twins when
         # N(a) - b = N(b) - a, so swapping them is an automorphism fixing v
         lo, hi = first[v], first[v + 1]
-        if hi - lo <= 3:
-            return  # three darts have one cyclic order up to the mirror
         # the far end's neighbors, as a bitmask, for each dart of v
         mask = {d: sum(1 << w for w in adj[head[d]]) for d in range(lo, hi)}
         members: list[list[int]] = []  # each twin class's darts, ascending
@@ -419,9 +417,6 @@ def _planar_rotations(
                 c = len(members)
                 members.append([d])
             class_of[d] = c
-        if len(members) == hi - lo:
-            yield from orders  # no twins: the mirror cut is the whole cut
-            return
         for cyc in orders:
             if not _has_earlier_image(cyc, members, class_of):
                 yield cyc
@@ -513,8 +508,8 @@ def _has_earlier_image(
                 continue
             taken = [0] * len(members)
             image = []
-            for d in seq[i:] + seq[:i]:
-                c = class_of[d]
+            for e in seq[i:] + seq[:i]:
+                c = class_of[e]
                 image.append(members[c][taken[c]])
                 taken[c] += 1
             if tuple(image) < cyc:

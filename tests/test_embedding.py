@@ -399,13 +399,14 @@ def _first_vertex_images(g, v0, rho):
 
 
 def test_search_yields_every_planar_rotation_up_to_mirror_once_and_nothing_else():
-    # the face bound may cut only branches without a genus-0 completion, and
-    # the twin cut only orders at the first vertex that an image precedes:
-    # what is yielded is every genus-0 rotation whose first-vertex order is
-    # the least image of itself under the mirror and the twin swaps there.
-    # On these graphs each genus-0 rotation is the image of exactly one of
-    # them; on six vertices (mask 247) a swap that fixes the first vertex's
-    # order can make a rotation the image of two
+    # The name predates the twin cut and is kept; the contract checked is
+    # that the search yields, each once, exactly the genus-0 rotations whose
+    # first-vertex order is the least image of itself under the mirror and
+    # the twin swaps there.  The face bound may cut only branches without a
+    # genus-0 completion, and the twin cut only orders at the first vertex
+    # that an image precedes.  On these graphs each genus-0 rotation is the
+    # image of exactly one yielded rotation; on six vertices (mask 247) a
+    # swap that fixes the first vertex's order can make it the image of two
     checked = cut = 0
     for g in _connected_small_graphs():
         found = _genus0_rotations(g)
