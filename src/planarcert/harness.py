@@ -6,6 +6,15 @@ records, so a failure reproduces from the report alone.  Campaigns are
 deterministic given their parameters and seed; the canonical key-value
 serialization omits wall time so reports are byte-identical across runs.
 
+Every graph is judged on its own, so a campaign deals its stream into
+interleaved shares, one per CPU the process may use, and judges them at
+the same time in forked children (see `_campaign`).  The counts are summed
+and the mismatches put back in stream order, so a report is the same
+whatever the number of CPUs; a process pinned to one CPU forks nothing.
+The exhaustive streams hand the children cheap (n, mask) descriptors, so
+each child builds only its own share's graphs; the random streams draw
+every graph in the parent, in order, so their seeded streams stay fixed.
+
 Report counting conventions, per campaign:
   kuratowski / kuratowski_classes / menger_cubic -- every graph is decided,
       so planar_count + nonplanar_count == graphs_examined;
@@ -22,13 +31,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
+import pickle
 import random
+import signal
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, NoReturn
 
 from .errors import CapacityError
-from .graphs import Graph, contract_edge, enumerate_labeled_graphs, from_edge_mask
+from .graphs import Graph, contract_edge, from_edge_mask
 from .lemmas import condition1, condition2, condition3
 from .planarity import decide_via_minor, route_bits
 from .embedding import find_covering_planar_rotation
@@ -219,17 +232,50 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
 # What a judged graph adds to the planar and non-planar counts, and whether
 # it passed; None skips the graph.
 Judgement = tuple[int, int, bool] | None
+# What one share of a stream adds up to: graphs examined, planar and
+# non-planar counts, and its failed graphs as (stream index, n, edge mask).
+Tally = tuple[int, int, int, list[tuple[int, int, int]]]
 
 
-def _campaign(
-    name: str, graphs: Iterable[Graph], judge: Callable[[Graph], Judgement]
-) -> CampaignReport:
-    """Judge every graph of the stream; a failed graph is recorded as
-    (n, edge mask)."""
-    t0 = time.perf_counter()
+class _EdgeMaskGraphs(Sequence[Graph]):
+    """The graphs `from_edge_mask` builds from each (n, masks) block, mask
+    by mask, block by block.  A graph is built only when it is indexed, so
+    a share of the stream builds only its own graphs."""
+
+    def __init__(self, blocks: Iterable[tuple[int, Sequence[int]]]) -> None:
+        self._blocks = list(blocks)
+
+    def __len__(self) -> int:
+        return sum(len(masks) for _, masks in self._blocks)
+
+    def __getitem__(self, i: int) -> Graph:
+        for n, masks in self._blocks:
+            if i < len(masks):
+                return from_edge_mask(n, masks[i])
+            i -= len(masks)
+        raise IndexError("graph index out of range")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _judge_share(
+    graphs: Sequence[Graph],
+    judge: Callable[[Graph], Judgement],
+    share: int,
+    shares: int,
+) -> Tally:
+    """Judge the graphs at stream indices share, share + shares, ..."""
     examined = planar = nonplanar = 0
     mismatches = []
-    for g in graphs:
+    for i in range(share, len(graphs), shares):
+        g = graphs[i]
         judgement = judge(g)
         if judgement is None:
             continue
@@ -238,30 +284,125 @@ def _campaign(
         planar += p
         nonplanar += q
         if not passed:
-            mismatches.append((g.n, g.edge_mask()))
+            mismatches.append((i, g.n, g.edge_mask()))
+    return examined, planar, nonplanar, mismatches
+
+
+def _judge_in_child(
+    write_fd: int,
+    inherited_fds: list[int],
+    graphs: Sequence[Graph],
+    judge: Callable[[Graph], Judgement],
+    share: int,
+    shares: int,
+) -> NoReturn:
+    """A forked child's whole life: judge its share, write the pickled tally
+    (or the exception the share raised) to the pipe, and leave through
+    os._exit.  Leaving that way flushes none of the stdio buffers inherited
+    from the parent, which would print the parent's pending output again."""
+    try:
+        for fd in inherited_fds:
+            os.close(fd)
+        result: Tally | BaseException
+        try:
+            result = _judge_share(graphs, judge, share, shares)
+        except BaseException as exc:  # the parent raises it
+            result = exc
+        try:
+            data = pickle.dumps(result)
+            pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling
+            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _campaign(
+    name: str, graphs: Sequence[Graph], judge: Callable[[Graph], Judgement]
+) -> CampaignReport:
+    """Judge every graph of the stream; a failed graph is recorded as
+    (n, edge mask).
+
+    The stream is dealt into interleaved shares, one per CPU the process
+    may use, capped at the number of graphs: share k judges the graphs at
+    stream indices k, k + shares, k + 2 * shares, ...  The process forks a
+    child for every share but share 0, which it judges itself; it then sums
+    the shares' counts and puts their failed graphs back in stream order,
+    so the report does not depend on the number of CPUs.  A forked child
+    starts with the parent's graphs, judge, hash seed and module state,
+    rebound functions included.  An exception raised in a child's share is
+    raised here with its type and message; when several shares raise, the
+    lowest share's exception is the one raised.  Every child is reaped
+    before this returns or raises, and one still running then is killed.
+    With one share nothing forks.
+    """
+    t0 = time.perf_counter()
+    shares = max(1, min(_usable_cpus(), len(graphs)))
+    children: dict[int, tuple[int, BinaryIO]] = {}  # share -> (pid, pipe)
+    try:
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                inherited = [read_fd, *(pipe.fileno() for _, pipe in children.values())]
+                _judge_in_child(write_fd, inherited, graphs, judge, share, shares)
+            children[share] = pid, open(read_fd, "rb")
+            os.close(write_fd)
+        tallies: list[Tally | BaseException] = [
+            _judge_share(graphs, judge, 0, shares)
+        ]
+        for share in range(1, shares):
+            pid, pipe = children[share]
+            data = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            del children[share]
+            if status or not data:
+                raise RuntimeError(
+                    f"campaign {name}: share {share} ended without a result "
+                    f"(wait status {status})"
+                )
+            tallies.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    examined = planar = nonplanar = 0
+    mismatches = []
+    for tally in tallies:
+        if isinstance(tally, BaseException):
+            raise tally
+        examined += tally[0]
+        planar += tally[1]
+        nonplanar += tally[2]
+        mismatches += tally[3]
+    mismatches.sort()
     return CampaignReport(
         name,
         examined,
         planar,
         nonplanar,
-        tuple(mismatches),
+        tuple((n, mask) for _, n, mask in mismatches),
         time.perf_counter() - t0,
     )
 
 
-def _labeled_graphs(max_n: int) -> Iterator[Graph]:
+def _labeled_graphs(max_n: int) -> Sequence[Graph]:
     """Every labeled graph with 1..max_n vertices, by vertex count and then
     edge mask."""
     if max_n > MAX_EXHAUSTIVE_N:
         raise CapacityError(
             f"labeled exhaustive mode supports max_n <= {MAX_EXHAUSTIVE_N}"
         )
-    return itertools.chain.from_iterable(
-        map(enumerate_labeled_graphs, range(1, max_n + 1))
+    return _EdgeMaskGraphs(
+        (n, range(1 << (n * (n - 1) // 2))) for n in range(1, max_n + 1)
     )
 
 
-def _route_agreement(name: str, graphs: Iterable[Graph]) -> CampaignReport:
+def _route_agreement(name: str, graphs: Sequence[Graph]) -> CampaignReport:
     """Confront the four routes on every graph; the subdivision route
     supplies the planar count."""
 
@@ -284,7 +425,7 @@ def verify_kuratowski_classes(n: int = 7) -> CampaignReport:
     class of n-vertex graphs."""
     if n > MAX_CLASS_N:
         raise CapacityError(f"class mode supports n <= {MAX_CLASS_N}")
-    graphs = (from_edge_mask(n, mask) for mask in enumerate_graph_class_masks(n))
+    graphs = _EdgeMaskGraphs([(n, enumerate_graph_class_masks(n))])
     return _route_agreement("kuratowski_classes", graphs)
 
 
@@ -341,9 +482,7 @@ def verify_menger_cubic(samples: int, seed: int) -> CampaignReport:
     (branch vertices would need degree 4)."""
     rng = make_rng(seed)
     sizes = MENGER_CUBIC_SIZES
-    graphs = (
-        random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)
-    )
+    graphs = [random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)]
 
     def judge(g: Graph) -> Judgement:
         verdict = decide_via_minor(g)
@@ -386,10 +525,10 @@ def verify_lifting(samples: int, seed: int) -> CampaignReport:
     rng = make_rng(seed)
     # each sample draws its vertex count, then its edges
     ps = LIFTING_PS
-    graphs = (
+    graphs = [
         random_graph(rng.randint(4, LIFTING_MAX_N), ps[i % len(ps)], rng)
         for i in range(samples)
-    )
+    ]
     return _campaign("lifting", graphs, _lifting_judgement)
 
 

@@ -358,6 +358,21 @@ def _route_paths(
     return None
 
 
+def _parts_let_strands_leave(
+    adj_mask: tuple[int, ...], branch: tuple[int, ...]
+) -> bool:
+    """Whether every branch vertex of a K3,3 tuple has three neighbours
+    outside its own part.  Its three strands leave through distinct
+    neighbours, each an interior vertex or a branch vertex of the other
+    part, so a tuple failing this has no routing."""
+    for part in (branch[:3], branch[3:]):
+        own = (1 << part[0]) | (1 << part[1]) | (1 << part[2])
+        for v in part:
+            if (adj_mask[v] & ~own).bit_count() < 3:
+                return False
+    return True
+
+
 def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | None:
     """Search for a subdivision of the pattern; certificates are validated
     by `validate_subdivision`, never trusted on faith.
@@ -370,7 +385,11 @@ def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | Non
     # branch vertices are candidates, so only their distances are read
     dist = _distances_from(g, candidates)
     free_budget = g.n - bc
+    k33 = pattern is Pattern.K33
+    adj_mask = g.adj_mask
     for branch in _branch_assignments(pattern, candidates):
+        if k33 and not _parts_let_strands_leave(adj_mask, branch):
+            continue
         need = 0
         feasible = True
         for pu, pv in pattern.edge_list:

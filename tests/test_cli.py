@@ -790,6 +790,56 @@ def test_harness_all_prints_the_golden_report(capsys):
     assert out == (GOLDEN / "harness-all.kv").read_text()
 
 
+def test_harness_exits_3_when_a_forked_share_breaks_an_invariant(
+    capsys, monkeypatch
+):
+    from planarcert import harness
+
+    def judge(g):
+        if (g.n, g.edge_mask()) == (3, 7):  # stream index 10: share 1 of 3
+            raise InternalInconsistencyError("routes disagree on n=3 mask=7")
+        return 0, 0, True
+
+    monkeypatch.setattr(harness, "_lemma_judgement", judge)
+    for cpus in (1, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        code, out, err = run(capsys, ["harness", "lemma", "--max-n", "3"])
+        assert (code, out, err) == (3, "", "error: routes disagree on n=3 mask=7\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        ["-m", "planarcert.cli"],
+        [
+            "-c",
+            "from planarcert import cli, harness; "
+            "harness._usable_cpus = lambda: 3; cli.entry()",
+        ],
+    ],
+    ids=["module", "three-shares"],
+)
+def test_harness_all_prints_the_golden_report_through_a_pipe(launch):
+    # piped stdout is block-buffered (PYTHONUNBUFFERED is dropped to make
+    # sure): a forked share that flushed the buffer it inherited would print
+    # the earlier campaigns' reports again, which the in-process capture
+    # above cannot see
+    src = pathlib.Path(documents.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["harness", "all", "--max-n", "5", "--samples", "40", "--seed", "7"]
+    proc = subprocess.run(
+        [sys.executable, *launch, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / "harness-all.kv").read_bytes()
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -1,11 +1,13 @@
 import collections
 import hashlib
 import itertools
+import os
+import time
 
 import pytest
 
 from planarcert import harness
-from planarcert.errors import CapacityError
+from planarcert.errors import CapacityError, InternalInconsistencyError
 from planarcert.graphs import (
     Graph,
     complete_bipartite,
@@ -154,7 +156,9 @@ def test_verify_lifting_small():
 
 def test_lift_patterns_over_the_seed_42_lifting_stream(monkeypatch):
     # (pattern found in G/xy, pattern lifted to G) over every lift of the
-    # criterion-6 stream; only a K5 whose branch vertex splits 2-2 changes
+    # criterion-6 stream; only a K5 whose branch vertex splits 2-2 changes.
+    # The spy counts in this process only, so the stream runs as one share
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     counts = collections.Counter()
     real = harness.lift_through_contraction
 
@@ -223,3 +227,129 @@ def test_labeled_campaigns_share_one_capacity_check():
     ):
         with pytest.raises(CapacityError, match="max_n <= 6"):
             verify(7)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: count)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_kuratowski(5),
+        lambda: verify_kuratowski_classes(6),
+        lambda: verify_lemma_characterization(6),
+        lambda: verify_chartrand_harary(5),
+        lambda: verify_menger_cubic(12, seed=42),
+        lambda: verify_lifting(40, seed=42),
+    ],
+    ids=["kuratowski", "classes", "lemma", "chartrand-harary", "menger", "lifting"],
+)
+def test_reports_do_not_depend_on_the_share_count(run, monkeypatch):
+    reports = []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        reports.append(run().to_kv())
+    assert reports[0] == reports[1]
+    _no_child_left()
+
+
+def test_shares_merge_skips_and_failures_back_in_stream_order(monkeypatch):
+    graphs = [from_edge_mask(4, mask) for mask in range(64)]
+
+    def judge(g):
+        if g.num_edges % 4 == 0:
+            return None
+        return g.num_edges % 2, 1, g.num_edges != 3
+
+    expected = [(4, mask) for mask in range(64) if mask.bit_count() == 3]
+    reports = []
+    for cpus in (1, 3, 5):
+        _cpus(monkeypatch, cpus)
+        r = harness._campaign("probe", graphs, judge)
+        assert r.mismatches == tuple(expected)
+        reports.append(r.to_kv())
+    assert reports == [reports[0]] * 3
+    assert "graphs_examined 48" in reports[0]  # the 16 with 0 or 4 edges skipped
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cpus, graphs, children", [(4, 1, 0), (1, 7, 0), (4, 2, 1), (3, 7, 2)]
+)
+def test_one_share_per_cpu_capped_at_the_graphs(cpus, graphs, children, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    stream = [from_edge_mask(3, mask) for mask in range(graphs)]
+    r = harness._campaign("probe", stream, lambda g: (1, 0, True))
+    assert (r.graphs_examined, r.planar_count) == (graphs, graphs)
+    assert len(forks) == children
+    _no_child_left()
+
+
+def test_usable_cpus_falls_back_where_the_platform_lacks_a_call(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert harness._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert harness._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._usable_cpus() == 1
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert harness._usable_cpus() == 1
+
+
+def test_an_error_in_a_childs_share_reaches_the_parent(monkeypatch):
+    graphs = [from_edge_mask(3, mask) for mask in range(8)]
+
+    def judge(g):
+        if g.edge_mask() == 4:  # stream index 4: share 1 of 3
+            raise InternalInconsistencyError("routes disagree on n=3 mask=4")
+        return 1, 0, True
+
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(InternalInconsistencyError) as info:
+            harness._campaign("probe", graphs, judge)
+        assert str(info.value) == "routes disagree on n=3 mask=4"
+        _no_child_left()
+
+
+def test_the_lowest_share_that_raises_is_the_one_raised(monkeypatch):
+    # with 3 shares, share 0 judges masks 0, 3, 6; shares 1 and 2 raise
+    graphs = [from_edge_mask(3, mask) for mask in range(8)]
+
+    def judge(g):
+        if g.edge_mask() % 3:
+            raise ValueError(f"mask {g.edge_mask()}")
+        return 1, 0, True
+
+    _cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="^mask 1$"):
+        harness._campaign("probe", graphs, judge)
+    _no_child_left()
+
+
+def test_an_interrupt_in_the_parents_share_kills_the_children(monkeypatch):
+    # the children's graphs would take minutes; the parent's raises at once
+    graphs = [from_edge_mask(2, mask) for mask in (0, 1, 1)]
+
+    def judge(g):
+        if g.num_edges == 0:
+            raise KeyboardInterrupt
+        time.sleep(600)
+
+    _cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        harness._campaign("probe", graphs, judge)
+    assert time.monotonic() - start < 60
+    _no_child_left()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,7 +23,12 @@ from planarcert.graphs import (
     petersen_graph,
     subdivide_edge,
 )
-from planarcert.harness import enumerate_graph_class_masks, make_rng, random_cubic_graph
+from planarcert.harness import (
+    enumerate_graph_class_masks,
+    make_rng,
+    random_cubic_graph,
+    random_graph,
+)
 from planarcert.subdivision import (
     MinorCertificate,
     Pattern,
@@ -111,6 +117,33 @@ def test_find_kuratowski_examples():
 def test_find_kuratowski_deterministic():
     pet = petersen_graph()
     assert find_kuratowski(pet) == find_kuratowski(pet)
+
+
+def test_kuratowski_searches_return_what_they_returned_before_the_part_cut():
+    # sha256 over every labeled graph with n <= 6, taken before K3,3 tuples
+    # with a branch vertex short of neighbours outside its part were skipped
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            for cert in (find_subdivision(g, Pattern.K33), find_kuratowski(g)):
+                digest.update(repr(cert).encode())
+    assert digest.hexdigest() == (
+        "9cda55497c9680022a5a631ad89df7a8c75fbc7ec644f13f87c58b98a428c376"
+    )
+
+
+def test_the_part_cut_skips_only_k33_tuples_without_a_routing():
+    rng = make_rng(5)
+    skipped = 0
+    for _ in range(60):
+        g = random_graph(8, 0.55, rng)
+        candidates = [v for v in range(g.n) if len(g.adj[v]) >= 3]
+        dist = subdivision._distances_from(g, candidates)
+        for branch in subdivision._branch_assignments(Pattern.K33, candidates):
+            if not subdivision._parts_let_strands_leave(g.adj_mask, branch):
+                skipped += 1
+                assert subdivision._route_paths(g, Pattern.K33, branch, dist) is None
+    assert skipped > 1000
 
 
 def test_validate_subdivision_rejects_bad_certificates():
