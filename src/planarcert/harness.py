@@ -6,14 +6,17 @@ records, so a failure reproduces from the report alone.  Campaigns are
 deterministic given their parameters and seed; the canonical key-value
 serialization omits wall time so reports are byte-identical across runs.
 
-Every graph is judged on its own, so a campaign deals its stream into
-interleaved shares, one per CPU the process may use, and judges them at
-the same time in forked children (see `_campaign`).  The counts are summed
-and the mismatches put back in stream order, so a report is the same
-whatever the number of CPUs; a process pinned to one CPU forks nothing.
-The exhaustive streams hand the children cheap (n, mask) descriptors, so
-each child builds only its own share's graphs; the random streams draw
-every graph in the parent, in order, so their seeded streams stay fixed.
+Every graph is judged on its own, so a campaign judges its stream on every
+CPU the process may use, in forked children and the parent at once (see
+`_campaign`).  The stream is cut into blocks of consecutive graphs, and
+each worker claims the next unclaimed block from one shared queue until
+the queue is drained, so a worker that starts late or runs slowly simply
+claims fewer blocks.  The counts are summed and the mismatches put back in
+stream order, so a report is the same whatever the number of CPUs; a
+process pinned to one CPU forks nothing.  The exhaustive streams hand the
+children cheap (n, mask) descriptors, so each child builds only the graphs
+of the blocks it claims; the random streams draw every graph in the
+parent, in order, so their seeded streams stay fixed.
 
 Report counting conventions, per campaign:
   kuratowski / kuratowski_classes / menger_cubic -- every graph is decided,
@@ -34,11 +37,12 @@ import operator
 import os
 import pickle
 import random
+import select
 import signal
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, NoReturn
+from typing import BinaryIO, Callable, Iterable, NoReturn, overload
 
 from .errors import CapacityError
 from .graphs import Graph, contract_edge, from_edge_mask
@@ -232,15 +236,25 @@ def enumerate_graph_class_masks(n: int) -> list[int]:
 # What a judged graph adds to the planar and non-planar counts, and whether
 # it passed; None skips the graph.
 Judgement = tuple[int, int, bool] | None
-# What one share of a stream adds up to: graphs examined, planar and
-# non-planar counts, and its failed graphs as (stream index, n, edge mask).
-Tally = tuple[int, int, int, list[tuple[int, int, int]]]
+# (stream index, exception): a graph's exception, or at index -1 one that
+# ended a child outside any graph.
+Failure = tuple[int, BaseException]
+# What one worker's claims add up to: graphs examined, planar and non-planar
+# counts, its failed graphs as (stream index, n, edge mask), and the
+# exception that stopped it, if any.
+Tally = tuple[int, int, int, list[tuple[int, int, int]], Failure | None]
+
+# Bytes per claim-queue record (the stream index a block starts at), and the
+# most the queue may hold: a pipe takes that many in one write, whole.
+RECORD_BYTES = 4
+QUEUE_BYTES = getattr(select, "PIPE_BUF", 512)
 
 
 class _EdgeMaskGraphs(Sequence[Graph]):
     """The graphs `from_edge_mask` builds from each (n, masks) block, mask
     by mask, block by block.  A graph is built only when it is indexed, so
-    a share of the stream builds only its own graphs."""
+    a worker builds only the graphs it claims; a slice (step 1) is built in
+    one walk over the blocks."""
 
     def __init__(self, blocks: Iterable[tuple[int, Sequence[int]]]) -> None:
         self._blocks = list(blocks)
@@ -248,12 +262,27 @@ class _EdgeMaskGraphs(Sequence[Graph]):
     def __len__(self) -> int:
         return sum(len(masks) for _, masks in self._blocks)
 
-    def __getitem__(self, i: int) -> Graph:
+    @overload
+    def __getitem__(self, index: int) -> Graph: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Graph]: ...
+
+    def __getitem__(self, index: int | slice) -> Graph | list[Graph]:
+        if not isinstance(index, slice):
+            i = range(len(self))[index]
+            return self[i : i + 1][0]
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("graph slices take no step")
+        graphs: list[Graph] = []
         for n, masks in self._blocks:
-            if i < len(masks):
-                return from_edge_mask(n, masks[i])
-            i -= len(masks)
-        raise IndexError("graph index out of range")
+            if stop <= 0:
+                break
+            graphs += [from_edge_mask(n, mask) for mask in masks[max(start, 0) : stop]]
+            start -= len(masks)
+            stop -= len(masks)
+        return graphs
 
 
 def _usable_cpus() -> int:
@@ -265,56 +294,78 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _judge_share(
-    graphs: Sequence[Graph],
-    judge: Callable[[Graph], Judgement],
-    share: int,
-    shares: int,
+def _block_size(length: int) -> int:
+    """Graphs per block of a stream of `length` graphs: the fewest that keep
+    the claim queue, one record per block, within PIPE_BUF bytes, so that
+    filling it takes one write that cannot block."""
+    return max(1, -(-length // (QUEUE_BYTES // RECORD_BYTES)))
+
+
+def _judge_claims(
+    queue: int, graphs: Sequence[Graph], judge: Callable[[Graph], Judgement]
 ) -> Tally:
-    """Judge the graphs at stream indices share, share + shares, ..."""
+    """Claim the next block from the queue and judge its graphs, until the
+    queue is drained or a graph raises.  A graph's exception stops the
+    claims and empties the queue: every block still in it starts later in
+    the stream, so the other workers stop after their current block.  An
+    exception that is not an `Exception` (an interrupt) passes through."""
+    size = _block_size(len(graphs))
     examined = planar = nonplanar = 0
     mismatches = []
-    for i in range(share, len(graphs), shares):
-        g = graphs[i]
-        judgement = judge(g)
-        if judgement is None:
-            continue
-        p, q, passed = judgement
-        examined += 1
-        planar += p
-        nonplanar += q
-        if not passed:
-            mismatches.append((i, g.n, g.edge_mask()))
-    return examined, planar, nonplanar, mismatches
+    while record := os.read(queue, RECORD_BYTES):
+        start = int.from_bytes(record, "little")
+        for i, g in enumerate(graphs[start : start + size], start):
+            try:
+                judgement = judge(g)
+            except Exception as exc:
+                while os.read(queue, QUEUE_BYTES):
+                    pass
+                return examined, planar, nonplanar, mismatches, (i, exc)
+            if judgement is None:
+                continue
+            p, q, passed = judgement
+            examined += 1
+            planar += p
+            nonplanar += q
+            if not passed:
+                mismatches.append((i, g.n, g.edge_mask()))
+    return examined, planar, nonplanar, mismatches, None
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """The exception, or a RuntimeError with its type and message where it
+    does not survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 def _judge_in_child(
     write_fd: int,
     inherited_fds: list[int],
+    queue: int,
     graphs: Sequence[Graph],
     judge: Callable[[Graph], Judgement],
-    share: int,
-    shares: int,
 ) -> NoReturn:
-    """A forked child's whole life: judge its share, write the pickled tally
-    (or the exception the share raised) to the pipe, and leave through
-    os._exit.  Leaving that way flushes none of the stdio buffers inherited
-    from the parent, which would print the parent's pending output again."""
+    """A forked child's whole life: judge the blocks it claims, write the
+    pickled tally to the pipe, and leave through os._exit.  Leaving that way
+    flushes none of the stdio buffers inherited from the parent, which
+    would print the parent's pending output again."""
     try:
         for fd in inherited_fds:
             os.close(fd)
-        result: Tally | BaseException
+        result: Tally
         try:
-            result = _judge_share(graphs, judge, share, shares)
-        except BaseException as exc:  # the parent raises it
-            result = exc
-        try:
-            data = pickle.dumps(result)
-            pickle.loads(data)
-        except Exception:  # an exception that does not survive pickling
-            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+            result = _judge_claims(queue, graphs, judge)
+        except BaseException as exc:  # not a graph's: the parent raises it first
+            result = 0, 0, 0, [], (-1, exc)
+        if result[4] is not None:
+            index, exc = result[4]
+            result = (*result[:4], (index, _portable(exc)))
         with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+            pipe.write(pickle.dumps(result))
     finally:
         os._exit(0)
 
@@ -325,60 +376,73 @@ def _campaign(
     """Judge every graph of the stream; a failed graph is recorded as
     (n, edge mask).
 
-    The stream is dealt into interleaved shares, one per CPU the process
-    may use, capped at the number of graphs: share k judges the graphs at
-    stream indices k, k + shares, k + 2 * shares, ...  The process forks a
-    child for every share but share 0, which it judges itself; it then sums
-    the shares' counts and puts their failed graphs back in stream order,
-    so the report does not depend on the number of CPUs.  A forked child
-    starts with the parent's graphs, judge, hash seed and module state,
-    rebound functions included.  An exception raised in a child's share is
-    raised here with its type and message; when several shares raise, the
-    lowest share's exception is the one raised.  Every child is reaped
-    before this returns or raises, and one still running then is killed.
-    With one share nothing forks.
+    The stream is cut into blocks of `_block_size` consecutive graphs, and
+    before anything forks a claim queue (a pipe) is filled with each
+    block's first stream index, in stream order, and closed for writing.
+    The process forks a child for every CPU it may use but one, capped at
+    the number of blocks.  Every worker, the parent included, claims the
+    next block from the queue, judges it and claims again until the queue
+    is drained.  The parent then sums the workers' counts and puts their
+    failed graphs back in stream order, so the report does not depend on
+    the number of CPUs or on who claimed what.  A forked child starts with
+    the parent's graphs, judge, hash seed and module state, rebound
+    functions included.
+
+    A worker stops at the first graph that raises; the exception raised
+    here, with its type and message, is the one at the lowest stream index,
+    which is the one a serial run raises: blocks leave the queue in stream
+    order, so every earlier graph was claimed and judged.  Whatever ends a
+    child outside a graph is raised ahead of that, and an interrupt in the
+    parent is raised at once.  Every child is reaped before this
+    returns or raises, and one still running then is killed.  With one
+    worker nothing forks.
     """
     t0 = time.perf_counter()
-    shares = max(1, min(_usable_cpus(), len(graphs)))
-    children: dict[int, tuple[int, BinaryIO]] = {}  # share -> (pid, pipe)
+    starts = range(0, len(graphs), _block_size(len(graphs)))
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    children: dict[int, BinaryIO] = {}  # pid -> result pipe
+    queue, fill = os.pipe()
     try:
-        for share in range(1, shares):
+        with open(fill, "wb") as writer:
+            writer.write(b"".join(s.to_bytes(RECORD_BYTES, "little") for s in starts))
+        for _ in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                inherited = [read_fd, *(pipe.fileno() for _, pipe in children.values())]
-                _judge_in_child(write_fd, inherited, graphs, judge, share, shares)
-            children[share] = pid, open(read_fd, "rb")
+                inherited = [read_fd, *(pipe.fileno() for pipe in children.values())]
+                _judge_in_child(write_fd, inherited, queue, graphs, judge)
+            children[pid] = open(read_fd, "rb")
             os.close(write_fd)
-        tallies: list[Tally | BaseException] = [
-            _judge_share(graphs, judge, 0, shares)
-        ]
-        for share in range(1, shares):
-            pid, pipe = children[share]
+        tallies = [_judge_claims(queue, graphs, judge)]
+        for pid, pipe in list(children.items()):
             data = pipe.read()
             pipe.close()
             _, status = os.waitpid(pid, 0)
-            del children[share]
+            del children[pid]
             if status or not data:
                 raise RuntimeError(
-                    f"campaign {name}: share {share} ended without a result "
+                    f"campaign {name}: a worker ended without a result "
                     f"(wait status {status})"
                 )
             tallies.append(pickle.loads(data))
     finally:
-        for pid, pipe in children.values():
+        os.close(queue)
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     examined = planar = nonplanar = 0
     mismatches = []
-    for tally in tallies:
-        if isinstance(tally, BaseException):
-            raise tally
-        examined += tally[0]
-        planar += tally[1]
-        nonplanar += tally[2]
-        mismatches += tally[3]
+    failures = []
+    for e, p, q, m, failure in tallies:
+        examined += e
+        planar += p
+        nonplanar += q
+        mismatches += m
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
     mismatches.sort()
     return CampaignReport(
         name,

@@ -796,7 +796,7 @@ def test_harness_exits_3_when_a_forked_share_breaks_an_invariant(
     from planarcert import harness
 
     def judge(g):
-        if (g.n, g.edge_mask()) == (3, 7):  # stream index 10: share 1 of 3
+        if (g.n, g.edge_mask()) == (3, 7):  # stream index 10, any worker's claim
             raise InternalInconsistencyError("routes disagree on n=3 mask=7")
         return 0, 0, True
 

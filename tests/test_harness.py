@@ -283,6 +283,8 @@ def test_shares_merge_skips_and_failures_back_in_stream_order(monkeypatch):
     "cpus, graphs, children", [(4, 1, 0), (1, 7, 0), (4, 2, 1), (3, 7, 2)]
 )
 def test_one_share_per_cpu_capped_at_the_graphs(cpus, graphs, children, monkeypatch):
+    # one worker per CPU, capped at the blocks: a stream this short has
+    # blocks of one graph
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks = []
     real_fork = os.fork
@@ -291,6 +293,105 @@ def test_one_share_per_cpu_capped_at_the_graphs(cpus, graphs, children, monkeypa
     r = harness._campaign("probe", stream, lambda g: (1, 0, True))
     assert (r.graphs_examined, r.planar_count) == (graphs, graphs)
     assert len(forks) == children
+    _no_child_left()
+
+
+def test_workers_are_capped_at_the_blocks(monkeypatch):
+    # a queue of two records cuts 7 graphs into blocks of 4 and 3
+    monkeypatch.setattr(harness, "QUEUE_BYTES", 2 * harness.RECORD_BYTES)
+    _cpus(monkeypatch, 3)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    stream = [from_edge_mask(3, mask) for mask in range(7)]
+    r = harness._campaign("probe", stream, lambda g: (1, 0, True))
+    assert (r.graphs_examined, r.planar_count, len(forks)) == (7, 7, 1)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda masks: [from_edge_mask(3, mask) for mask in masks],
+        lambda masks: harness._EdgeMaskGraphs([(3, masks)]),
+    ],
+    ids=["list", "edge-masks"],
+)
+def test_workers_claim_blocks_of_a_long_stream(build, monkeypatch):
+    masks = [i % 8 for i in range(3001)]
+    graphs = build(masks)
+    assert harness._block_size(len(graphs)) > 1
+
+    def judge(g):
+        if g.num_edges == 0:
+            return None
+        return g.num_edges % 2, 1, g.num_edges != 2
+
+    expected = tuple((3, mask) for mask in masks if mask.bit_count() == 2)
+    reports = []
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        r = harness._campaign("probe", graphs, judge)
+        assert r.mismatches == expected
+        reports.append(r.to_kv())
+    assert reports[0] == reports[1]
+    assert "graphs_examined 2625" in reports[0]  # the 376 with no edge skipped
+    _no_child_left()
+
+
+@pytest.mark.parametrize("queue_bytes", [harness.QUEUE_BYTES, 512])
+def test_the_claim_queue_fits_in_one_pipe_write(queue_bytes, monkeypatch):
+    # blocks of the fewest graphs that keep one record per block within
+    # the bytes a pipe takes in one write, for streams up to 10^7 graphs
+    monkeypatch.setattr(harness, "QUEUE_BYTES", queue_bytes)
+    records = queue_bytes // harness.RECORD_BYTES
+    top = 10**7
+    lengths = {*range(3 * records), top}
+    lengths.update(
+        k * records + d for k in range(1, top // records + 1) for d in (-1, 0, 1)
+    )
+    for length in lengths:
+        size = harness._block_size(length)
+        assert -(-length // size) <= records
+        assert size == 1 or -(-length // (size - 1)) > records
+
+
+def test_edge_mask_graphs_build_slices_across_their_blocks():
+    blocks = [(3, range(8)), (2, [1, 0]), (4, range(5, 9))]
+    graphs = harness._EdgeMaskGraphs(blocks)
+    every = [(n, mask) for n, masks in blocks for mask in masks]
+    assert len(graphs) == len(every) == 14
+
+    def key(gs):
+        return [(g.n, g.edge_mask()) for g in gs]
+
+    for start in range(-16, 17):
+        for stop in range(-16, 17):
+            assert key(graphs[start:stop]) == every[start:stop]
+    assert key(graphs[i] for i in range(-14, 14)) == every + every
+    for i in (14, -15):
+        with pytest.raises(IndexError):
+            graphs[i]
+    with pytest.raises(ValueError, match="step"):
+        graphs[::2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_a_campaign_leaves_no_file_descriptor_open(monkeypatch):
+    graphs = [from_edge_mask(3, mask) for mask in range(8)]
+
+    def judge(g):
+        if g.edge_mask() == 5:
+            raise ValueError("mask 5")
+        return 1, 0, True
+
+    _cpus(monkeypatch, 3)
+    before = set(os.listdir("/proc/self/fd"))
+    assert harness._campaign("probe", graphs[:5], judge).passed
+    assert set(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ValueError, match="^mask 5$"):
+        harness._campaign("probe", graphs, judge)
+    assert set(os.listdir("/proc/self/fd")) == before
     _no_child_left()
 
 
@@ -311,7 +412,7 @@ def test_an_error_in_a_childs_share_reaches_the_parent(monkeypatch):
     graphs = [from_edge_mask(3, mask) for mask in range(8)]
 
     def judge(g):
-        if g.edge_mask() == 4:  # stream index 4: share 1 of 3
+        if g.edge_mask() == 4:  # stream index 4, whichever worker claims it
             raise InternalInconsistencyError("routes disagree on n=3 mask=4")
         return 1, 0, True
 
@@ -323,8 +424,9 @@ def test_an_error_in_a_childs_share_reaches_the_parent(monkeypatch):
         _no_child_left()
 
 
-def test_the_lowest_share_that_raises_is_the_one_raised(monkeypatch):
-    # with 3 shares, share 0 judges masks 0, 3, 6; shares 1 and 2 raise
+def test_the_first_graph_in_stream_order_that_raises_is_the_one_raised(
+    monkeypatch, tmp_path
+):
     graphs = [from_edge_mask(3, mask) for mask in range(8)]
 
     def judge(g):
@@ -337,13 +439,57 @@ def test_the_lowest_share_that_raises_is_the_one_raised(monkeypatch):
         harness._campaign("probe", graphs, judge)
     _no_child_left()
 
+    # mask 1 raises only after mask 2 has raised, so another worker judged
+    # mask 2 (the one holding mask 1 is waiting) and its exception reached
+    # the parent first
+    raised = tmp_path / "mask-2-raised"
 
-def test_an_interrupt_in_the_parents_share_kills_the_children(monkeypatch):
-    # the children's graphs would take minutes; the parent's raises at once
-    graphs = [from_edge_mask(2, mask) for mask in (0, 1, 1)]
+    def judge_apart(g):
+        if g.edge_mask() == 2:
+            raised.touch()
+            raise ValueError("mask 2")
+        if g.edge_mask() == 1:
+            deadline = time.monotonic() + 30
+            while not raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ValueError("mask 1" if raised.exists() else "mask 2 not judged")
+        return 1, 0, True
+
+    with pytest.raises(ValueError, match="^mask 1$"):
+        harness._campaign("probe", graphs, judge_apart)
+    _no_child_left()
+
+
+def test_a_worker_that_raises_empties_the_queue(monkeypatch, tmp_path):
+    # every block left in the queue comes after the raising graph, so the
+    # other workers stop after the block each one holds
+    judged = tmp_path / "judged"
+    judged.write_text("")
+    graphs = [from_edge_mask(3, 0)] + [from_edge_mask(3, 7)] * 59
 
     def judge(g):
         if g.num_edges == 0:
+            raise ValueError("no edge")
+        with judged.open("a") as log:
+            log.write("x")
+        time.sleep(0.2)
+        return 1, 0, True
+
+    _cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="^no edge$"):
+        harness._campaign("probe", graphs, judge)
+    assert len(judged.read_text()) < 10  # not all 59 after the first
+    _no_child_left()
+
+
+def test_an_interrupt_in_the_parents_share_kills_the_children(monkeypatch):
+    # the parent is interrupted at its first graph, the children sleep for
+    # minutes; each child claims one graph, so one is left for the parent
+    parent = os.getpid()
+    graphs = [from_edge_mask(2, mask) for mask in (0, 1, 1)]
+
+    def judge(g):
+        if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(600)
 
