@@ -24,7 +24,7 @@ from .documents import (
     verdict_doc_is_valid,
     verdict_to_doc,
 )
-from .errors import CapacityError, InternalInconsistencyError, SearchBudgetExceeded
+from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph
 from .harness import CAMPAIGNS
 from .lemmas import lemma_report
@@ -192,16 +192,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (SearchBudgetExceeded, InternalInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except ValueError as exc:  # DocumentError and CapacityError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

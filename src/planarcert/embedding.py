@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistencyError, StepBudget
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph, biconnected_components, normalize_edge
 from .subdivision import (
     SubdivisionCertificate,
     pruned_chains,
@@ -902,54 +902,6 @@ def _left_right(
 # ---------------------------------------------------------------------------
 
 
-def _biconnected_components(
-    nbr: Sequence[dict[int, int] | None],
-) -> list[list[int]]:
-    """The edge ids of each biconnected component of the graph whose vertex
-    v has nbr[v] = {neighbor: edge id}, or None when v is not in the graph,
-    found by Hopcroft and Tarjan's lowpoint search on explicit stacks in
-    O(V + E)."""
-    depth = [-1] * len(nbr)
-    low = [0] * len(nbr)
-    comps: list[list[int]] = []
-    for root in range(len(nbr)):
-        around = nbr[root]
-        if around is None or depth[root] >= 0:
-            continue
-        depth[root] = 0
-        edges: list[int] = []  # tree and back edges not yet in a component
-        # per vertex on the DFS path: the tree edge into it, that edge's
-        # place in `edges`, and the neighbors it has still to examine
-        stack = [(root, -1, 0, iter(around.items()))]
-        while stack:
-            v, into, at, todo = stack[-1]
-            dv = depth[v]
-            for w, e in todo:
-                dw = depth[w]
-                if dw < 0:
-                    depth[w] = low[w] = dv + 1
-                    stack.append((w, e, len(edges), iter(nbr[w].items())))
-                    edges.append(e)
-                    break
-                if dw < dv and e != into:  # back edge
-                    edges.append(e)
-                    if dw < low[v]:
-                        low[v] = dw
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1][0]
-                if low[v] >= depth[u]:  # u cuts v's subtree off
-                    comp = edges[at:]
-                    comp.reverse()
-                    comps.append(comp)
-                    del edges[at:]
-                elif low[v] < low[u]:
-                    low[u] = low[v]
-    return comps
-
-
 def lr_kuratowski(
     g: Graph, node_budget: int | StepBudget | None = None
 ) -> SubdivisionCertificate:
@@ -1116,7 +1068,7 @@ def lr_kuratowski(
         # a graph is planar iff each of its biconnected components is, and
         # one with fewer than the 9 edges of K3,3 is: keep the first
         # component the test rejects
-        for comp in _biconnected_components(nbr):
+        for comp in biconnected_components(nbr):
             if len(comp) >= 9:
                 hint = failure_of(comp)
                 if hint is not None:

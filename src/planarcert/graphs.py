@@ -13,14 +13,15 @@ of range, repeats), and `Graph.from_adjacency` trusts lists that are
 already sorted and simple.  The operations here, the edge-mask decoder
 and the enumerator build their lists sorted and hand them straight to
 from_adjacency, testing edges with has_edge, so none of them builds an
-edge set.
+edge set.  `biconnected_components` serves both the Kuratowski
+extraction and the theta test.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InternalInconsistencyError
 
@@ -353,6 +354,52 @@ def subdivide_edge(g: Graph, e: Edge) -> Graph:
     adj[v] = tuple(x for x in adj[v] if x != u) + (w,)
     adj.append(e)
     return Graph.from_adjacency(tuple(adj), g.num_edges + 1)
+
+
+def biconnected_components(nbr: Sequence[dict[int, int] | None]) -> list[list[int]]:
+    """The edge ids of each biconnected component of the graph whose vertex
+    v has nbr[v] = {neighbor: edge id}, or None when v is not in the graph,
+    found by Hopcroft and Tarjan's lowpoint search on explicit stacks in
+    O(V + E)."""
+    depth = [-1] * len(nbr)
+    low = [0] * len(nbr)
+    comps: list[list[int]] = []
+    for root in range(len(nbr)):
+        around = nbr[root]
+        if around is None or depth[root] >= 0:
+            continue
+        depth[root] = 0
+        edges: list[int] = []  # tree and back edges not yet in a component
+        # per vertex on the DFS path: the tree edge into it, that edge's
+        # place in `edges`, and the neighbors it has still to examine
+        stack = [(root, -1, 0, iter(around.items()))]
+        while stack:
+            v, into, at, todo = stack[-1]
+            dv = depth[v]
+            for w, e in todo:
+                dw = depth[w]
+                if dw < 0:
+                    depth[w] = low[w] = dv + 1
+                    stack.append((w, e, len(edges), iter(nbr[w].items())))
+                    edges.append(e)
+                    break
+                if dw < dv and e != into:  # back edge
+                    edges.append(e)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] >= depth[u]:  # u cuts v's subtree off
+                    comp = edges[at:]
+                    comp.reverse()
+                    comps.append(comp)
+                    del edges[at:]
+                elif low[v] < low[u]:
+                    low[u] = low[v]
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .planarity import decide_via_minor, route_bits
 from .embedding import find_covering_planar_rotation
 from .subdivision import (
     Pattern,
+    contains_theta,
     find_kuratowski,
     find_subdivision,
     lift_through_contraction,
@@ -527,7 +528,7 @@ def verify_lemma_characterization(max_n: int) -> CampaignReport:
 def _chartrand_harary_judgement(g: Graph) -> Judgement:
     if not g.is_connected():
         return None
-    theta_free = not find_subdivision(g, Pattern.THETA)
+    theta_free = not contains_theta(g)
     covered = find_covering_planar_rotation(g) is not None
     return int(covered), 0, theta_free == covered
 

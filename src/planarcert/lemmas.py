@@ -12,6 +12,10 @@ graphs where they matter (at least one edge, minimum degree >= 3):
 The implications (3) => (2) => (1) hold for every graph with an edge and
 are checked whenever a report is built; the converse direction is what
 the exhaustive campaigns in `harness` machine-check.
+
+Theta-freeness is read off the biconnected blocks of K - x - y
+(`subdivision.contains_theta`), so a report costs one linear pass per
+edge of K, with no search.
 """
 
 from __future__ import annotations

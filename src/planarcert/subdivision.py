@@ -4,10 +4,10 @@ A subdivision certificate maps pattern vertices to branch vertices of the
 host graph and pattern edges to internally disjoint paths.  A minor
 certificate maps pattern vertices to disjoint connected branch sets and
 pattern edges to crossing edges.  Both come with independent validators;
-the searchers promise nothing the validators cannot check.
-
-The theta pattern is handled as a multigraph: two branch vertices joined
-by three parallel pattern edges, whose simple-graph normal form is K_{2,3}.
+the searchers promise nothing the validators cannot check.  The patterns
+are K5 and K3,3.  Theta-freeness, which the edge-deletion lemmas ask
+about, needs no search: `contains_theta` reads it off the biconnected
+blocks.
 
 All three routes to a Kuratowski certificate read it off one way:
 `pruned_chains` prunes a subgraph to branch vertices and the chains
@@ -33,6 +33,7 @@ from .graphs import (
     Edge,
     Graph,
     VertexMap,
+    biconnected_components,
     contract_edge,
     normalize_edge,
 )
@@ -41,7 +42,6 @@ from .graphs import (
 class Pattern(enum.Enum):
     K5 = "K5"
     K33 = "K33"
-    THETA = "THETA"
 
     @property
     def branch_count(self) -> int:
@@ -53,20 +53,15 @@ class Pattern(enum.Enum):
 
     @property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Pattern edges as pairs of pattern-vertex indices.
-
-        THETA repeats (0, 1) three times: its three strands are parallel
-        edges of the underlying multigraph.
-        """
+        """Pattern edges as pairs of pattern-vertex indices."""
         return _EDGE_LIST[self]
 
 
-_BRANCH_COUNT = {Pattern.K5: 5, Pattern.K33: 6, Pattern.THETA: 2}
-_BRANCH_DEGREE = {Pattern.K5: 4, Pattern.K33: 3, Pattern.THETA: 3}
+_BRANCH_COUNT = {Pattern.K5: 5, Pattern.K33: 6}
+_BRANCH_DEGREE = {Pattern.K5: 4, Pattern.K33: 3}
 _EDGE_LIST = {
     Pattern.K5: tuple(itertools.combinations(range(5), 2)),
     Pattern.K33: tuple((i, 3 + j) for i in range(3) for j in range(3)),
-    Pattern.THETA: ((0, 1), (0, 1), (0, 1)),
 }
 _PATTERN_OF_BRANCH_COUNT = {count: p for p, count in _BRANCH_COUNT.items()}
 
@@ -138,48 +133,39 @@ def validate_subdivision(g: Graph, cert: SubdivisionCertificate) -> bool:
 
 
 def validate_minor(g: Graph, cert: MinorCertificate) -> bool:
+    return _branch_trees(g, cert) is not None
+
+
+def _branch_trees(g: Graph, cert: MinorCertificate) -> list[Edge] | None:
+    """The edges of a spanning tree of each branch set, set by set, if the
+    certificate validates, else None.  A set is connected exactly when its
+    breadth-first tree reaches all of it."""
     pattern = cert.pattern
     sets = cert.branch_sets
     if len(sets) != pattern.branch_count:
-        return False
+        return None
     if len(cert.cross_edges) != len(pattern.edge_list):
-        return False
+        return None
     seen: set[int] = set()
+    trees: list[Edge] = []
     for s in sets:
         if not s or any(not 0 <= v < g.n for v in s):
-            return False
+            return None
         if seen & s:
-            return False
+            return None
         seen |= s
-        if not _is_connected_subset(g, s):
-            return False
-    used_for_pair: dict[tuple[int, int], set[Edge]] = {}
+        tree = _spanning_tree_edges(g, s)
+        if len(tree) != len(s) - 1:
+            return None
+        trees += tree
     for (pi, pj), e in zip(pattern.edge_list, cert.cross_edges):
-        e = normalize_edge(*e)
-        if not g.has_edge(*e):
-            return False
         u, v = e
+        if not g.has_edge(u, v):
+            return None
         si, sj = sets[pi], sets[pj]
         if not ((u in si and v in sj) or (u in sj and v in si)):
-            return False
-        bucket = used_for_pair.setdefault((pi, pj), set())
-        if e in bucket:  # parallel pattern edges need distinct host edges
-            return False
-        bucket.add(e)
-    return True
-
-
-def _is_connected_subset(g: Graph, s: frozenset[int]) -> bool:
-    start = next(iter(s))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if w in s and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == s
+            return None
+    return trees
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +200,12 @@ def _distances_from(
 def _branch_assignments(pattern: Pattern, candidates: list[int]):
     """Branch tuples in ascending order, one per pattern-automorphism orbit.
 
-    K5's automorphisms permute all five slots, K3,3's permute within parts
-    and swap parts, theta's swap its two ends, so sorted slots (with the
-    first part leading for K3,3) lose no assignments.
+    K5's automorphisms permute all five slots and K3,3's permute within
+    parts and swap parts, so sorted slots (with the first part leading for
+    K3,3) lose no assignments.
     """
     if pattern is Pattern.K5:
         yield from itertools.combinations(candidates, 5)
-    elif pattern is Pattern.THETA:
-        yield from itertools.combinations(candidates, 2)
     else:
         for part_a in itertools.combinations(candidates, 3):
             rest = [v for v in candidates if v not in part_a]
@@ -313,10 +297,7 @@ def _route_paths(
         d = dist[branch[pu]][branch[pv]]
         return d if d is not None else g.n + 1
 
-    if pattern is Pattern.THETA:
-        order = list(range(m))  # identical endpoint pairs; keep given order
-    else:
-        order = sorted(range(m), key=lambda k: (-pair_dist(k), k))
+    order = sorted(range(m), key=lambda k: (-pair_dist(k), k))
 
     routed: list[tuple[int, ...] | None] = [None] * m
     used_holder = [0]
@@ -327,11 +308,8 @@ def _route_paths(
         k = order[idx]
         pu, pv = edge_list[k]
         a, b = branch[pu], branch[pv]
-        prev = routed[order[idx - 1]] if pattern is Pattern.THETA and idx > 0 else None
         blocked = (branch_mask | used_holder[0]) & ~(1 << a) & ~(1 << b)
         for path in _iter_paths(g, a, b, blocked):
-            if prev is not None and (len(path), path) <= (len(prev), prev):
-                continue  # parallel strands kept in increasing order
             routed[k] = path
             add = 0
             for w in path[1:-1]:
@@ -407,8 +385,23 @@ def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | Non
 
 
 def contains_theta(g: Graph) -> bool:
-    """Two vertices joined by three internally disjoint paths?"""
-    return find_subdivision(g, Pattern.THETA) is not None
+    """Two vertices joined by three internally disjoint paths?
+
+    A theta is 2-connected, so it lies inside one biconnected block.  A
+    block is a single edge, a cycle, or has more edges than vertices; the
+    last has an ear decomposition of a cycle and at least one ear, and the
+    cycle with its first ear is a theta.  So g contains one exactly when
+    some block has more edges than vertices, which one O(V + E) search
+    settles."""
+    ends = g.sorted_edges()
+    nbr: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e, (u, v) in enumerate(ends):
+        nbr[u][v] = e
+        nbr[v][u] = e
+    return any(
+        len(block) > len({x for e in block for x in ends[e]})
+        for block in biconnected_components(nbr)
+    )
 
 
 def find_kuratowski(g: Graph) -> SubdivisionCertificate | None:
@@ -427,7 +420,6 @@ def find_kuratowski(g: Graph) -> SubdivisionCertificate | None:
 _MINOR_ORDER = {
     Pattern.K5: (0, 1, 2, 3, 4),
     Pattern.K33: (0, 3, 1, 4, 2, 5),
-    Pattern.THETA: (0, 1),
 }
 
 # seed canonicalization: pattern vertex -> earlier pattern vertex whose seed
@@ -436,14 +428,12 @@ _MINOR_ORDER = {
 _SEED_ABOVE = {
     Pattern.K5: {1: 0, 2: 1, 3: 2, 4: 3},
     Pattern.K33: {1: 0, 2: 1, 3: 0, 4: 3, 5: 4},
-    Pattern.THETA: {1: 0},
 }
 
 
 def _edge_reserves(pattern: Pattern) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per position of the minor order: (q, k) for each pattern vertex q
-    placed by then that has k > 0 pattern edges to vertices still unplaced
-    (theta's parallel strands counted once each)."""
+    placed by then that has k > 0 pattern edges to vertices still unplaced."""
     order = _MINOR_ORDER[pattern]
     out = []
     for idx in range(len(order)):
@@ -534,7 +524,6 @@ def find_minor(
     seed_above = _SEED_ABOVE[pattern]
     edge_reserve = _EDGE_RESERVE[pattern]
     edge_list = pattern.edge_list
-    strands = 3 if pattern is Pattern.THETA else 1  # crossing edges per set pair
     adj_mask = g.adj_mask
     pat_deg = [0] * bc
     pat_nbrs: list[list[int]] = [[] for _ in range(bc)]
@@ -579,7 +568,7 @@ def find_minor(
                 if not _edges_at_least(adj_mask, s_mask, ~s_mask, need):
                     continue
                 if any(
-                    not _edges_at_least(adj_mask, s_mask, placed_mask[q], strands)
+                    not _edges_at_least(adj_mask, s_mask, placed_mask[q], 1)
                     for q in placed_nbrs
                 ):
                     continue
@@ -600,15 +589,14 @@ def find_minor(
         return None
 
     sets = tuple(frozenset(_mask_bits(placed_mask[p])) for p in range(bc))
-    # the first edge from set pi to set pj in label order; an edge joins
-    # one pair of sets, so theta's strands stay distinct
+    # the first edge from set pi to set pj in label order
     cross: list[Edge] = []
     for pi, pj in edge_list:
         sj = sets[pj]
         joins = (
             normalize_edge(u, v) for u in sorted(sets[pi]) for v in g.adj[u] if v in sj
         )
-        best = next((e for e in joins if e not in cross), None)
+        best = next(joins, None)
         if best is None:
             raise InternalInconsistencyError(
                 f"no host edge joins the branch sets of pattern edge ({pi}, {pj})"
@@ -686,32 +674,25 @@ def pruned_chains(edges: Iterable[Edge]) -> dict[int, list[tuple[int, ...]]]:
 
 
 def read_off(chains: dict[int, list[tuple[int, ...]]]) -> SubdivisionCertificate:
-    """The theta, K5 or K3,3 subdivision that `pruned_chains` found, by its
-    number of branch vertices: 2, 5 or 6.
+    """The K5 or K3,3 subdivision that `pruned_chains` found, by its number
+    of branch vertices: 5 or 6.
 
     Branch vertices come in ascending order.  K3,3's first part is the one
     that holds the least branch vertex, so its second part is that vertex's
-    neighbors.  Theta's strands run from the lesser branch vertex and are
-    sorted by (length, path).  Chains of any other shape raise
-    InternalInconsistencyError.
+    neighbors.  Chains of any other shape raise InternalInconsistencyError.
     """
     branch = sorted(chains)
     pattern = _PATTERN_OF_BRANCH_COUNT.get(len(branch))
     if pattern is None or set(map(len, chains.values())) != {pattern.branch_degree}:
         raise InternalInconsistencyError(f"{len(branch)} branch vertices: no pattern")
-    if pattern is Pattern.THETA:
-        paths = sorted(chains[branch[0]], key=lambda p: (len(p), p))
-        shaped = all(p[-1] == branch[1] for p in paths)
-    else:
-        # with every degree right, a chain for each pattern edge leaves
-        # none over, so no pair is joined twice
-        reach = {v: {p[-1]: p for p in chains[v]} for v in branch}
-        if pattern is Pattern.K33:
-            side = sorted(reach[branch[0]])
-            branch = [v for v in branch if v not in side] + side
-        paths = [reach[branch[i]].get(branch[j]) for i, j in pattern.edge_list]
-        shaped = None not in paths
-    if not shaped:
+    # with every degree right, a chain for each pattern edge leaves none
+    # over, so no pair is joined twice
+    reach = {v: {p[-1]: p for p in chains[v]} for v in branch}
+    if pattern is Pattern.K33:
+        side = sorted(reach[branch[0]])
+        branch = [v for v in branch if v not in side] + side
+    paths = [reach[branch[i]].get(branch[j]) for i, j in pattern.edge_list]
+    if None in paths:
         raise InternalInconsistencyError(
             f"chains between the branch vertices do not form a {pattern.value}"
         )
@@ -764,18 +745,17 @@ def minor_to_subdivision(g: Graph, cert: MinorCertificate) -> SubdivisionCertifi
 
     A spanning tree of each branch set plus the crossing edges, pruned of
     leaves, keeps in each set the subtree that joins its crossing edges.
-    A set with three crossing edges (theta, K3,3) keeps one branch vertex
-    of degree 3.  A K5 set, with four, keeps one of degree 4 or two of
+    A K3,3 set, with three crossing edges, keeps one branch vertex of
+    degree 3.  A K5 set, with four, keeps one of degree 4 or two of
     degree 3, which `_split_k5` turns into a K3,3 by dropping two
     crossing edges.  A K5 minor may therefore come back as a K3,3
     subdivision.
     """
-    if not validate_minor(g, cert):
+    trees = _branch_trees(g, cert)
+    if trees is None:
         raise ValueError("minor certificate does not validate")
     cross = [normalize_edge(*e) for e in cert.cross_edges]
-    edges = list(cross)
-    for s in cert.branch_sets:
-        edges += _spanning_tree_edges(g, s)
+    edges = cross + trees
     chains = pruned_chains(edges)
     if len(chains) > cert.pattern.branch_count:  # a K5 set kept x and y
         set_of = {v: p for p, s in enumerate(cert.branch_sets) for v in s}
@@ -814,7 +794,7 @@ def lift_certificate(
     keep strands the edge xy joins them, and the certificate is read off
     the lifted edges as in `read_off`.
 
-    Pattern rule: K3,3 and theta lift to themselves; K5 lifts to K5 unless
+    Pattern rule: K3,3 lifts to itself; K5 lifts to K5 unless
     the merged vertex is a branch vertex whose four strands split 2-2
     between x and y, in which case the lift is a K3,3 subdivision.
     """

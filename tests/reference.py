@@ -1,10 +1,10 @@
 """Reference implementations only the tests use.
 
 Smoothing, the isomorphism and homeomorphism tests, brute-force rotation
-enumeration, the mirror of a rotation, face boundaries, the edge-deletion
-predicates and the canonical edge mask: slow or narrow helpers that check
-the package's own routes from outside, and that no command of the package
-runs.
+enumeration, the mirror of a rotation, face boundaries, theta containment
+by its definition, the edge-deletion predicates and the canonical edge
+mask: slow or narrow helpers that check the package's own routes from
+outside, and that no command of the package runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from planarcert.graphs import (
     normalize_edge,
 )
 from planarcert.harness import MAX_CLASS_N, _edge_bit_columns, _mask_orbit
-from planarcert.subdivision import contains_theta
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +224,33 @@ def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:
 
 
 # ---------------------------------------------------------------------------
-# Edge-deletion predicates
+# Theta containment and the edge-deletion predicates
 # ---------------------------------------------------------------------------
+
+
+def contains_theta_by_paths(g: Graph) -> bool:
+    """Two vertices joined by three internally disjoint paths, by brute
+    force: every simple path between two vertices of degree 3 or more
+    (the three paths leave each end by distinct edges), then every triple
+    of those paths.  The definition itself, with no use of blocks."""
+    adj = g.adj
+    ends = [v for v in range(g.n) if len(adj[v]) >= 3]
+    for a, b in itertools.combinations(ends, 2):
+        interiors = []  # the interior of each simple a-b path, as a bitmask
+        stack = [(a, 1 << a)]
+        while stack:
+            v, seen = stack.pop()
+            for w in adj[v]:
+                if w == b:
+                    interiors.append(seen & ~(1 << a))
+                elif not seen >> w & 1:
+                    stack.append((w, seen | 1 << w))
+        for i, p in enumerate(interiors):
+            for j in range(i + 1, len(interiors)):
+                q = interiors[j]
+                if not p & q and any(not (p | q) & r for r in interiors[j + 1 :]):
+                    return True
+    return False
 
 
 def deletion_lemma_predicates(g: Graph, x: int, y: int) -> tuple[bool, bool]:
@@ -239,7 +263,7 @@ def deletion_lemma_predicates(g: Graph, x: int, y: int) -> tuple[bool, bool]:
         raise ValueError(f"({x}, {y}) is not an edge")
     reduced, _ = delete_vertices(g, (x, y))
     deg_ok = reduced.n > 0 and all(len(nbrs) >= 2 for nbrs in reduced.adj)
-    return deg_ok, not contains_theta(reduced)
+    return deg_ok, not contains_theta_by_paths(reduced)
 
 
 # ---------------------------------------------------------------------------

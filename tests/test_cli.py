@@ -866,6 +866,33 @@ def test_check_prints_the_golden_bytes(capsys, name, expected_code):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "name", ["k4", "grid3x3-isolated", "k5", "subdivided-k33", "petersen"]
+)
+def test_lemmas_prints_the_golden_bytes(capsys, name):
+    # Petersen's witnesses include theta-found, for every edge
+    code, out, err = run(capsys, ["lemmas", str(GOLDEN / f"{name}.txt")])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.lemmas.json").read_text()
+
+
+def test_lemmas_on_the_unshuffled_10x10_grid_finishes(write):
+    # the exponential theta search ran for more than 230 s on this grid;
+    # the block test takes well under a second
+    src = pathlib.Path(documents.__file__).resolve().parents[1]
+    path = write("grid.txt", format_edge_list(grid_graph(10, 10)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarcert.cli", "lemmas", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    doc = json.loads(proc.stdout)
+    assert not doc["condition1"] and len(doc["witnesses"]) == 2 * 180
+
+
 def test_golden_grid_has_an_empty_cycle_and_an_empty_walk():
     doc = json.loads((GOLDEN / "grid3x3-isolated.json").read_text())
     assert doc["rotation"][9] == [] and doc["faces"][-1] == []

@@ -12,7 +12,6 @@ from planarcert.embedding import (
     FaceSet,
     RotationSystem,
     StepBudget,
-    _biconnected_components,
     face_covering_all_edges,
     face_walks,
     find_covering_planar_rotation,
@@ -25,6 +24,7 @@ from planarcert.embedding import (
 from planarcert.errors import InternalInconsistencyError, SearchBudgetExceeded
 from planarcert.graphs import (
     Graph,
+    biconnected_components,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -767,7 +767,7 @@ def test_biconnected_components_examples():
     nbr = {v: {w: ids[normalize_edge(v, w)] for w in g.adj[v]} for v in range(g.n)}
     comps = {
         frozenset(g.sorted_edges()[i] for i in comp)
-        for comp in _biconnected_components(nbr)
+        for comp in biconnected_components(nbr)
     }
     assert comps == {
         frozenset({(0, 1), (1, 2), (0, 2)}),
@@ -778,7 +778,7 @@ def test_biconnected_components_examples():
     # a long path is n - 1 bridges, found without recursion
     long_path = path_graph(5000)
     nbr = {v: {w: min(v, w) for w in long_path.adj[v]} for v in range(5000)}
-    assert sorted(map(tuple, _biconnected_components(nbr))) == [(i,) for i in range(4999)]
+    assert sorted(map(tuple, biconnected_components(nbr))) == [(i,) for i in range(4999)]
 
 
 def test_lr_kuratowski_refuses_planar_graphs():

@@ -44,16 +44,15 @@ from planarcert.subdivision import (
 )
 
 from conftest import graphs
-from reference import cube_graph
+from reference import contains_theta_by_paths, cube_graph
 
 
 def test_pattern_shapes():
+    assert list(Pattern) == [Pattern.K5, Pattern.K33]
     assert Pattern.K5.branch_count == 5 and Pattern.K5.branch_degree == 4
     assert Pattern.K33.branch_count == 6 and Pattern.K33.branch_degree == 3
-    assert Pattern.THETA.branch_count == 2 and Pattern.THETA.branch_degree == 3
     assert len(Pattern.K5.edge_list) == 10
     assert len(Pattern.K33.edge_list) == 9
-    assert Pattern.THETA.edge_list == ((0, 1), (0, 1), (0, 1))
     assert Graph(5, Pattern.K5.edge_list) == complete_graph(5)
     assert Graph(6, Pattern.K33.edge_list) == complete_bipartite(3, 3)
 
@@ -67,10 +66,6 @@ def test_find_subdivision_identity_k5():
 
 
 def test_find_subdivision_examples():
-    assert find_subdivision(cycle_graph(5), Pattern.THETA) is None
-    k4 = complete_graph(4)
-    cert = find_subdivision(k4, Pattern.THETA)
-    assert cert is not None and validate_subdivision(k4, cert)
     pet = petersen_graph()
     cert = find_subdivision(pet, Pattern.K33)
     assert cert is not None and validate_subdivision(pet, cert)
@@ -100,6 +95,41 @@ def test_contains_theta_needs_degree_three():
         for g in enumerate_labeled_graphs(n):
             if all(len(a) <= 2 for a in g.adj):
                 assert not contains_theta(g)
+
+
+def _cacti(rng, count):
+    """Random cacti, each with a chord of its first cycle of 4 or more
+    vertices (None if it has none): each step hangs a pendant edge or a
+    cycle of 3 to 5 vertices on a vertex already there, so every block is
+    an edge or a cycle, and the chord turns one cycle into a theta."""
+    for _ in range(count):
+        n, edges, chord = 1, [], None
+        for _ in range(rng.randrange(1, 8)):
+            at, length = rng.randrange(n), rng.choice((2, 3, 4, 5))
+            ring = [at, *range(n, n + length - 1)]
+            n += length - 1
+            edges += zip(ring, ring[1:])
+            if length > 2:
+                edges.append((ring[-1], at))
+            if length > 3 and chord is None:
+                chord = (ring[0], ring[2])
+        yield Graph(n, edges), chord
+
+
+def test_contains_theta_matches_the_definition():
+    # the block test against two vertices joined by three internally
+    # disjoint paths, found by brute force with no use of blocks
+    hosts = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+    for n in (6, 7):
+        hosts += [from_edge_mask(n, mask) for mask in enumerate_graph_class_masks(n)]
+    hosts += [cycle_graph(n) for n in range(3, 13)] + [complete_graph(4)]
+    drawn = list(_cacti(random.Random(0), 40))
+    cacti = [g for g, _ in drawn]
+    chorded = [Graph(g.n, [*g.edges, chord]) for g, chord in drawn if chord]
+    assert all(not contains_theta(g) for g in cacti)
+    assert chorded and all(contains_theta(g) for g in chorded)
+    for g in hosts + cacti + chorded:
+        assert contains_theta(g) == contains_theta_by_paths(g), g
 
 
 def test_find_kuratowski_examples():
@@ -177,15 +207,20 @@ def test_validate_subdivision_rejects_bad_certificates():
 
 
 def test_validate_subdivision_rejects_shared_edge_for_theta():
-    g = complete_graph(4)
-    cert = SubdivisionCertificate(
-        Pattern.THETA, (0, 1), ((0, 1), (0, 1), (0, 2, 1))
+    """In a K5 with a hub 5 joined to 0, 1 and 2, the vertices 0 and 5 span
+    a theta: the edge 0-5 and the paths 0-1-5 and 0-2-5. Strands that both
+    run along its middle edge 0-5 are refused; moving one off it is not."""
+    k5 = complete_graph(5)
+    good = find_subdivision(k5, Pattern.K5)
+    g = Graph(6, list(k5.edges) + [(0, 5), (1, 5), (2, 5)])
+    paths = dict(zip(Pattern.K5.edge_list, good.paths))
+    paths[(0, 1)], paths[(0, 2)] = (0, 5, 1), (0, 5, 2)
+    shared = SubdivisionCertificate(Pattern.K5, good.branch, tuple(paths.values()))
+    assert not validate_subdivision(g, shared)
+    paths[(0, 2)] = (0, 2)
+    assert validate_subdivision(
+        g, SubdivisionCertificate(Pattern.K5, good.branch, tuple(paths.values()))
     )
-    assert not validate_subdivision(g, cert)
-    ok = SubdivisionCertificate(
-        Pattern.THETA, (0, 1), ((0, 1), (0, 2, 1), (0, 3, 1))
-    )
-    assert validate_subdivision(g, ok)
 
 
 def test_find_minor_examples():
@@ -211,13 +246,6 @@ def test_find_minor_spends_one_step_per_connected_set():
     assert exact.remaining == 0
     with pytest.raises(SearchBudgetExceeded):
         find_minor(pet, Pattern.K5, StepBudget(spent - 1))
-
-
-def test_find_minor_theta():
-    m = find_minor(complete_graph(4), Pattern.THETA)
-    assert m is not None and validate_minor(complete_graph(4), m)
-    assert len(set(m.cross_edges)) == 3
-    assert find_minor(cycle_graph(6), Pattern.THETA) is None
 
 
 def test_validate_minor_rejects_bad_certificates():
@@ -258,18 +286,6 @@ def test_minor_to_subdivision_petersen():
     assert validate_subdivision(pet, cert)
     # a cubic host cannot hold a K5 subdivision, so the lift must rebuild
     assert cert.pattern is Pattern.K33
-
-
-def test_minor_to_subdivision_theta():
-    g = complete_graph(4)
-    cert = minor_to_subdivision(g, find_minor(g, Pattern.THETA))
-    assert cert.pattern is Pattern.THETA and validate_subdivision(g, cert)
-    # branch sets larger than singletons
-    h = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 2), (1, 6), (6, 7), (7, 3)])
-    m = find_minor(h, Pattern.THETA)
-    assert m is not None
-    cert = minor_to_subdivision(h, m)
-    assert validate_subdivision(h, cert)
 
 
 def test_minor_to_subdivision_rejects_invalid_input():
@@ -350,15 +366,15 @@ def test_read_off_names_each_pattern_and_refuses_other_shapes():
             pattern, tuple(range(pattern.branch_count)), paths
         )
     # a pendant tree is pruned away before the chains are read
-    g, _, _ = _planted_minor(Pattern.THETA, 2)
-    chains = subdivision.pruned_chains([*g.sorted_edges(), (2, 20), (20, 21), (20, 22)])
-    assert sorted(chains) == [0, 1]
+    g, _, _ = _planted_minor(Pattern.K5, 2)
+    chains = subdivision.pruned_chains([*g.sorted_edges(), (5, 40), (40, 41), (40, 42)])
+    assert sorted(chains) == [0, 1, 2, 3, 4]
     # the prism is the cubic graph on six vertices that is not K3,3, and
-    # K4 has no pattern's number of branch vertices
+    # K4 and the theta K2,3 have no pattern's number of branch vertices
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
-    for g in (prism, complete_graph(4)):
+    for g, branch in ((prism, 6), (complete_graph(4), 4), (complete_bipartite(2, 3), 2)):
         chains = subdivision.pruned_chains(g.sorted_edges())
-        assert sorted(chains) == list(range(g.n))
+        assert sorted(chains) == list(range(branch))
         with pytest.raises(InternalInconsistencyError):
             subdivision.read_off(chains)
 
@@ -416,17 +432,6 @@ def test_lift_interior_merged_vertex():
     assert validate_subdivision(g, lifted)
 
 
-def test_lift_theta_certificate():
-    # theta branch vertex split 2-1 into x=0 and y=5
-    g = Graph(6, [(0, 2), (0, 3), (5, 4), (1, 2), (1, 3), (1, 4), (0, 5)])
-    contracted, _, _ = contract_edge(g, (0, 5))
-    cert = find_subdivision(contracted, Pattern.THETA)
-    assert cert is not None
-    lifted = lift_certificate(g, 0, 5, cert)
-    assert lifted.pattern is Pattern.THETA
-    assert validate_subdivision(g, lifted)
-
-
 def test_lift_rejects_bad_inputs():
     k5 = complete_graph(5)
     cert = find_kuratowski(k5)
@@ -468,28 +473,25 @@ def test_lift_refuses_an_adjacency_with_no_preimage(monkeypatch):
         lift_certificate(g, 5, 6, cert)
 
 
-def test_lift_refuses_a_2_2_split_outside_k5(monkeypatch):
-    # a four-strand theta whose branch vertex splits 2-2 over x=0, y=1
-    monkeypatch.setitem(subdivision._EDGE_LIST, Pattern.THETA, ((0, 1),) * 4)
-    g = Graph(7, [(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)] + [(w, 2) for w in (3, 4, 5, 6)])
-    contracted, z, vmap = contract_edge(g, (0, 1))
-    w = vmap[2]
-    cert = SubdivisionCertificate(
-        Pattern.THETA, (z, w), tuple((z, vmap[s], w) for s in (3, 4, 5, 6))
-    )
-    assert validate_subdivision(contracted, cert)
+def test_lift_refuses_a_2_2_split_outside_k5():
+    # K5 with branch vertex 0 split 2-2 over x=0 and y=5: read as a K5
+    # split it gives the K3,3 (0, 3, 4 | 1, 2, 5); a K3,3 branch vertex has
+    # three strands and cannot split 2-2, so that pattern is refused
+    g = split_k5_vertex((1, 2), (3, 4))
+    edges = g.sorted_edges()
+    chains = subdivision.pruned_chains(edges)
+    assert sorted(chains) == [0, 1, 2, 3, 4, 5]
+    part = {v: v for v in range(5)} | {5: 0}
+    droppable = [  # the edge of g on the chain of each pattern edge
+        next(e for e in edges if {part[e[0]], part[e[1]]} == {i, j})
+        for i, j in Pattern.K5.edge_list
+    ]
+    split = subdivision._split_k5(Pattern.K5, list(edges), chains, part, droppable)
+    cert = subdivision.read_off(split)
+    assert cert.pattern is Pattern.K33 and validate_subdivision(g, cert)
+    assert cert.branch == (0, 3, 4, 1, 2, 5)
     with pytest.raises(InternalInconsistencyError):
-        lift_certificate(g, 0, 1, cert)
-    # the same split as a minor: branch set {0, 1, 3, 4, 5, 6} keeps 0
-    # and 1 as branch vertices, each with two of the four crossing edges
-    m = MinorCertificate(
-        Pattern.THETA,
-        (frozenset({0, 1, 3, 4, 5, 6}), frozenset({2})),
-        tuple((w, 2) for w in (3, 4, 5, 6)),
-    )
-    assert validate_minor(g, m)
-    with pytest.raises(InternalInconsistencyError):
-        minor_to_subdivision(g, m)
+        subdivision._split_k5(Pattern.K33, list(edges), chains, part, droppable)
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,12 +602,15 @@ def test_iter_paths_follow_paths_past_the_recursion_limit():
     # the recursive walk raised RecursionError about 1,000 vertices deep
     n = 1500
     assert next(subdivision._iter_paths(path_graph(n), 0, n - 1, 0)) == tuple(range(n))
+    # K3,3 with its edge 0-3 drawn out into a path through 2,494 vertices
     n = 2500
-    g = Graph(n, list(cycle_graph(n).edges) + [(0, n // 2)])
-    cert = find_subdivision(g, Pattern.THETA)
+    strand = (0, *range(6, n), 3)
+    edges = [e for e in Pattern.K33.edge_list if e != (0, 3)] + list(zip(strand, strand[1:]))
+    g = Graph(n, edges)
+    cert = find_subdivision(g, Pattern.K33)
     assert cert is not None and validate_subdivision(g, cert)
-    assert cert.branch == (0, n // 2)
-    assert sorted(map(len, cert.paths)) == [2, n // 2 + 1, n // 2 + 1]
+    assert cert.branch == (0, 1, 2, 3, 4, 5)
+    assert sorted(map(len, cert.paths)) == [2] * 8 + [n - 4]
 
 
 def test_iter_paths_yields_the_three_strands_of_a_chorded_cycle():
@@ -653,7 +658,6 @@ def _reference_find_minor(g, pattern, budget):
         free = all_bits & ~used
         max_size = g.n - used.bit_count() - (bc - idx - 1)
         placed_nbrs = [q for q in pat_nbrs[p] if placed_mask[q]]
-        theta_pair = pattern is Pattern.THETA and idx == 1
         for seed in range(min_seed, g.n):
             if not free >> seed & 1:
                 continue
@@ -662,8 +666,7 @@ def _reference_find_minor(g, pattern, budget):
                 budget.tick()
                 if edges_between(s_mask, ~s_mask) < pat_deg[p]:
                     continue
-                need = 3 if theta_pair else 1
-                if any(edges_between(s_mask, placed_mask[q]) < need for q in placed_nbrs):
+                if any(edges_between(s_mask, placed_mask[q]) < 1 for q in placed_nbrs):
                     continue
                 placed_mask[p] = s_mask
                 seeds[p] = seed
@@ -730,5 +733,3 @@ def test_minor_search_spends_nothing_where_no_branch_sets_fit():
     for n in range(3, 13):
         for pattern in Pattern:
             assert _steps(find_minor, cycle_graph(n), pattern) == (None, 0)
-    for n in range(1, 13):
-        assert _steps(find_minor, path_graph(n), Pattern.THETA) == (None, 0)
