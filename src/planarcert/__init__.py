@@ -31,9 +31,8 @@ from .graphs import (
     subdivide_edge,
 )
 from .embedding import (
-    Dart,
     FaceSet,
-    RotationSystem,
+    Rotation,
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,

@@ -28,7 +28,7 @@ from .errors import InternalInconsistencyError, SearchBudgetExceeded
 from .graphs import Graph
 from .harness import CAMPAIGNS
 from .lemmas import lemma_report
-from .planarity import DecisionConfig, DecisionPath, decide
+from .planarity import DEFAULT_CONFIG, DecisionConfig, DecisionPath, decide
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,6 +56,17 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+
+
+def _count(text: str) -> int:
+    """A non-negative int, the argparse type of --max-n and --samples."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _config(args: argparse.Namespace) -> DecisionConfig:
@@ -152,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--budget",
         type=int,
-        default=10**9,
+        default=DEFAULT_CONFIG.node_budget,
         help="steps allowed to one decision (exit 3 when spent): an edge "
         "oriented by the left-right test, in the decision and in the "
         "Kuratowski extraction, or a connected set tried by the minor search",
@@ -174,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     harness = sub.add_parser("harness", help="run a verification campaign")
     harness.add_argument("campaign", choices=[*CAMPAIGNS, "all"])
-    harness.add_argument("--max-n", type=int, default=5)
-    harness.add_argument("--samples", type=int, default=100)
+    harness.add_argument("--max-n", type=_count, default=5)
+    harness.add_argument("--samples", type=_count, default=100)
     harness.add_argument("--seed", type=int, default=42)
     harness.add_argument(
         "--text", action="store_true", help="human-readable report instead of key-value"

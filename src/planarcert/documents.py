@@ -182,6 +182,11 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _euler(g: Graph, face_count: int, components: int) -> dict[str, int]:
+    """The "euler" object of a planar document."""
+    return {"V": g.n, "E": g.num_edges, "F": face_count, "components": components}
+
+
 def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
     if verdict.planar:
         rho = verdict.rotation
@@ -192,14 +197,9 @@ def verdict_to_doc(g: Graph, verdict: Verdict) -> dict[str, Any]:
             )
         return {
             "status": "planar",
-            "rotation": [list(cyc) for cyc in rho.order],
+            "rotation": [list(cyc) for cyc in rho],
             "faces": [list(walk) for walk in faces.walks],
-            "euler": {
-                "V": faces.vertex_count,
-                "E": faces.edge_count,
-                "F": faces.face_count,
-                "components": faces.components,
-            },
+            "euler": _euler(g, len(faces.walks), faces.components),
         }
     cert = verdict.certificate
     if cert is None:
@@ -289,15 +289,8 @@ def verdict_doc_is_valid(g: Graph, doc: Any) -> bool:
             return False
         if "faces" in doc and doc["faces"] != walks:
             return False
-        if "euler" in doc:
-            expected = {
-                "V": g.n,
-                "E": g.num_edges,
-                "F": len(walks),
-                "components": components,
-            }
-            if doc["euler"] != expected:
-                return False
+        if "euler" in doc and doc["euler"] != _euler(g, len(walks), components):
+            return False
         return True
     if status == "nonplanar":
         cert = certificate_from_doc(doc.get("certificate"))

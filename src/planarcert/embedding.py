@@ -1,21 +1,23 @@
-"""Combinatorial embeddings: rotation systems, face tracing, genus, and two
-ways to find a genus-0 (planar) rotation system: the left-right planarity
-test and a backtracking search.  A graph the left-right test rejects gets
-a Kuratowski subdivision extracted with the same test as its oracle.
+"""Combinatorial embeddings: rotations, face tracing, genus, and two ways
+to find a genus-0 (planar) rotation: the left-right planarity test and a
+backtracking search.  A graph the left-right test rejects gets a
+Kuratowski subdivision extracted with the same test as its oracle.
 
 A dart is an ordered pair (u, v): the end of edge {u, v} attached to u.
-A rotation system fixes a cyclic order of the darts leaving each vertex,
-recorded by the neighbor at the far end.  Faces are traced with the
+A rotation fixes a cyclic order of the darts leaving each vertex,
+recorded by the neighbor at the far end: it is a tuple of neighbor
+cycles, one per vertex, each starting at its vertex's smallest neighbor,
+so equal cyclic orders are equal tuples.  Faces are traced with the
 successor rule: after entering v along (u, v), leave along (v, w) where w
 follows u in the cyclic order at v.  The opposite convention would only
 mirror every face; this one is fixed package-wide and is exercised by the
 reflection-invariance tests.
 
-The genus of a rotation system is (2c - V + E - F) / 2 with c the number
-of connected components, so disconnected inputs are legal; an embedding
-is planar exactly when the genus is 0.  Components without edges trace no
-dart walks but still bound one face each, recorded as an empty walk, which
-keeps the Euler count exact.
+The genus of a rotation is (2c - V + E - F) / 2 with c the number of
+connected components, so disconnected inputs are legal; an embedding is
+planar exactly when the genus is 0.  Components without edges trace no
+dart walks but still bound one face each, recorded as an empty walk,
+which keeps the Euler count exact.
 """
 
 from __future__ import annotations
@@ -37,68 +39,19 @@ from .subdivision import (
     validate_subdivision,
 )
 
-Dart = tuple[int, int]
-
-
-class RotationSystem:
-    """Per-vertex cyclic order of outgoing darts, stored by neighbor.
-
-    Each cycle is canonicalized to start at the smallest neighbor, so two
-    rotations of the same cyclic order compare equal.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: Iterable[Iterable[int]]) -> None:
-        canon = []
-        for cyc in order:
-            cyc = tuple(cyc)
-            if len(set(cyc)) != len(cyc):
-                raise ValueError("repeated neighbor in a rotation")
-            if cyc:
-                k = cyc.index(min(cyc))
-                if k:
-                    cyc = cyc[k:] + cyc[:k]
-            canon.append(cyc)
-        self.order = tuple(canon)
-
-    @classmethod
-    def from_canonical(cls, order: tuple[tuple[int, ...], ...]) -> RotationSystem:
-        """The rotation system whose cycles are `order`, which must already
-        start at their smallest neighbor and repeat none; they are not
-        checked again."""
-        rho = cls.__new__(cls)
-        rho.order = order
-        return rho
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RotationSystem):
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
-
-    def __repr__(self) -> str:
-        return f"RotationSystem({list(self.order)})"
+# rotation[v] is v's cyclic order of neighbors from its smallest one
+Rotation = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Faces traced from a rotation system, plus Euler data.  Each face is
+    """Faces traced from a rotation, plus Euler data.  Each face is
     recorded as its closed vertex walk: the tails of its darts in order,
     the form verdict documents store."""
 
     walks: tuple[tuple[int, ...], ...]
-    vertex_count: int
-    edge_count: int
-    face_count: int
     components: int
     genus: int
-
-
-def _walk_darts(walk: tuple[int, ...]) -> tuple[Dart, ...]:
-    return tuple(zip(walk, walk[1:] + walk[:1]))
 
 
 def face_walks(g: Graph, cycles: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -198,16 +151,13 @@ def euler_genus(g: Graph, face_count: int) -> tuple[int, int]:
     return c, doubled // 2
 
 
-def trace_faces(g: Graph, rho: RotationSystem) -> FaceSet:
+def trace_faces(g: Graph, rho: Rotation) -> FaceSet:
     """Trace all faces of the embedding (g, rho); see face_walks."""
-    walks = face_walks(g, rho.order)
-    c, genus = euler_genus(g, len(walks))
-    return FaceSet(
-        tuple(map(tuple, walks)), g.n, g.num_edges, len(walks), c, genus
-    )
+    walks = face_walks(g, rho)
+    return FaceSet(tuple(map(tuple, walks)), *euler_genus(g, len(walks)))
 
 
-def genus(g: Graph, rho: RotationSystem) -> int:
+def genus(g: Graph, rho: Rotation) -> int:
     return trace_faces(g, rho).genus
 
 
@@ -216,7 +166,7 @@ def face_covering_all_edges(g: Graph, faces: FaceSet) -> int | None:
     all_edges = g.edges
     for i, walk in enumerate(faces.walks):
         if len(walk) >= len(all_edges) and all_edges == {
-            normalize_edge(u, v) for u, v in _walk_darts(walk)
+            normalize_edge(u, v) for u, v in zip(walk, walk[1:] + walk[:1])
         }:
             return i
     return None
@@ -235,8 +185,8 @@ def _step_budget(node_budget: int | StepBudget | None) -> StepBudget:
 
 def find_planar_rotation(
     g: Graph, node_budget: int | None = None
-) -> RotationSystem | None:
-    """A genus-0 rotation system if one exists, else None.
+) -> Rotation | None:
+    """A genus-0 rotation if one exists, else None.
 
     Backtracks over per-vertex cyclic orders with incremental face
     tracing: a closed walk in a partial assignment is a face of every
@@ -274,11 +224,11 @@ def find_planar_rotation(
             return None
         for v, cyc in found.items():
             orders[v] = cyc
-    return RotationSystem.from_canonical(tuple(orders))
+    return tuple(orders)
 
 
-def find_covering_planar_rotation(g: Graph) -> RotationSystem | None:
-    """A genus-0 rotation system with one face covering every edge, if any.
+def find_covering_planar_rotation(g: Graph) -> Rotation | None:
+    """A genus-0 rotation with one face covering every edge, if any.
 
     The first completion of find_planar_rotation's search whose traced
     faces include one covering every edge; meaningful for connected
@@ -296,13 +246,13 @@ def find_covering_planar_rotation(g: Graph) -> RotationSystem | None:
     orders: list[tuple[int, ...]] = [()] * g.n
     edged = [comp for comp in g.components() if len(comp) > 1]
     if not edged:
-        return RotationSystem.from_canonical(tuple(orders))
+        return tuple(orders)
     if len(edged) > 1 or 2 * g.num_edges > 3 * (len(edged[0]) - 1):
         return None
     for found in _planar_rotations(g, edged[0], StepBudget(None)):
         for v, cyc in found.items():
             orders[v] = cyc
-        rho = RotationSystem.from_canonical(tuple(orders))
+        rho = tuple(orders)
         if face_covering_all_edges(g, trace_faces(g, rho)) is not None:
             return rho
     return None
@@ -319,8 +269,8 @@ def _planar_rotations(
     them.  Each cyclic order starts at the vertex's smallest neighbor.
 
     The search runs on the component relabelled 0..nv-1 in ascending
-    order, so neighbor order, and with it the search order, is g's.  Dart
-    (v, adj[v][k]) is number first[v] + k, head[d] is its far end and
+    order, so neighbor order, and with it the search order, is g's.  The
+    dart (v, adj[v][k]) is number first[v] + k, head[d] is its far end and
     rev[d] its reverse; a cyclic order is a tuple of v's outgoing darts.
     Linking the darts entering v to their face successors joins chains:
     head_of, read at a chain's tail, and tail_of, read at its head, join
@@ -524,9 +474,9 @@ def _has_earlier_image(
 
 def lr_planar_rotation(
     g: Graph, node_budget: int | StepBudget | None = None
-) -> RotationSystem | None:
-    """A genus-0 rotation system if g is planar, else None, by the
-    left-right planarity test.
+) -> Rotation | None:
+    """A genus-0 rotation if g is planar, else None, by the left-right
+    planarity test.
 
     De Fraysseix, Ossona de Mendez and Rosenstiehl characterize planarity
     by a DFS (Tremaux) tree: g is planar iff its back edges can be split
@@ -548,14 +498,11 @@ def lr_planar_rotation(
     `node_budget` bounds the oriented edges, and may be a StepBudget
     shared with other calls: all m are charged before the DFS starts, and
     a budget with fewer left raises SearchBudgetExceeded.
-    Each cycle starts at its vertex's smallest neighbor, as RotationSystem
-    stores it.  The result is not self-certifying: callers confirm genus 0
+    Each cycle starts at its vertex's smallest neighbor, as in every
+    Rotation.  The result is not self-certifying: callers confirm genus 0
     by tracing its faces.
     """
-    cycles, _ = _left_right(g.adj, g.num_edges, node_budget)
-    if cycles is None:
-        return None
-    return RotationSystem.from_canonical(cycles)
+    return _left_right(g.adj, g.num_edges, node_budget)[0]
 
 
 def _left_right(

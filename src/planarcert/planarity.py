@@ -1,6 +1,6 @@
 """Top-level planarity decision with certificates.
 
-A verdict is either Planar, carrying a genus-0 rotation system and its
+A verdict is either Planar, carrying a genus-0 rotation and its
 faces, or NonPlanar, carrying a K5 or K3,3 subdivision certificate.  The
 left-right planarity test is the decision authority.  Its planar answer is
 returned only after face tracing confirms genus 0; a graph it rejects gets
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .embedding import (
     FaceSet,
-    RotationSystem,
+    Rotation,
     find_planar_rotation,
     genus,
     lr_kuratowski,
@@ -78,7 +78,7 @@ DEFAULT_CONFIG = DecisionConfig()
 @dataclass(frozen=True)
 class Verdict:
     planar: bool
-    rotation: RotationSystem | None = None
+    rotation: Rotation | None = None
     faces: FaceSet | None = None
     certificate: SubdivisionCertificate | None = None
 

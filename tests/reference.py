@@ -1,7 +1,8 @@
 """Reference implementations only the tests use.
 
 Smoothing, the isomorphism and homeomorphism tests, brute-force rotation
-enumeration, the mirror of a rotation, face boundaries, theta containment
+enumeration, the canonical form and the mirror of a rotation, face
+boundaries, theta containment
 by its definition, the edge-deletion predicates and the canonical edge
 mask: slow or narrow helpers that check the package's own routes from
 outside, and that no command of the package runs.
@@ -12,9 +13,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from planarcert.embedding import Dart, FaceSet, RotationSystem, _walk_darts
+from planarcert.embedding import FaceSet, Rotation
 from planarcert.errors import CapacityError, InternalInconsistencyError
 from planarcert.graphs import (
     Graph,
@@ -175,6 +176,23 @@ def are_homeomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+Dart = tuple[int, int]
+
+
+def canonical_rotation(order: Iterable[Iterable[int]]) -> Rotation:
+    """order as a Rotation: each cycle turned to start at its smallest
+    neighbor, the form in which the package returns rotations."""
+    canon = []
+    for cyc in map(tuple, order):
+        k = cyc.index(min(cyc)) if cyc else 0
+        canon.append(cyc[k:] + cyc[:k])
+    return tuple(canon)
+
+
+def _walk_darts(walk: tuple[int, ...]) -> tuple[Dart, ...]:
+    return tuple(zip(walk, walk[1:] + walk[:1]))
+
+
 def face_darts(fs: FaceSet) -> tuple[tuple[Dart, ...], ...]:
     """Each face of fs as its closed dart walk."""
     return tuple(map(_walk_darts, fs.walks))
@@ -183,7 +201,7 @@ def face_darts(fs: FaceSet) -> tuple[tuple[Dart, ...], ...]:
 def face_boundary(g: Graph, fs: FaceSet, f: int) -> Graph:
     """Subgraph of vertices and edges on face f's walk, ids compacted in
     ascending order of the original labels."""
-    if not 0 <= f < fs.face_count:
+    if not 0 <= f < len(fs.walks):
         raise ValueError(f"face index {f} out of range")
     walk = fs.walks[f]
     verts = sorted(set(walk))
@@ -192,24 +210,24 @@ def face_boundary(g: Graph, fs: FaceSet, f: int) -> Graph:
     return Graph(len(verts), edges)
 
 
-def mirror(rho: RotationSystem) -> RotationSystem:
+def mirror(rho: Rotation) -> Rotation:
     """The mirror embedding: every cyclic order reversed."""
-    return RotationSystem(tuple(reversed(cyc)) for cyc in rho.order)
+    return canonical_rotation(cyc[::-1] for cyc in rho)
 
 
-def rotations_equivalent(rho1: RotationSystem, rho2: RotationSystem) -> bool:
+def rotations_equivalent(rho1: Rotation, rho2: Rotation) -> bool:
     """Equal up to global reflection (the sphere's mirror symmetry)."""
-    if len(rho1.order) != len(rho2.order) or any(
-        tuple(sorted(a)) != tuple(sorted(b))
-        for a, b in zip(rho1.order, rho2.order)
+    if len(rho1) != len(rho2) or any(
+        sorted(a) != sorted(b) for a, b in zip(rho1, rho2)
     ):
         raise ValueError("rotation systems belong to different graphs")
-    return rho1 == rho2 or rho1 == mirror(rho2)
+    return canonical_rotation(rho1) in (canonical_rotation(rho2), mirror(rho2))
 
 
-def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:
+def enumerate_rotation_systems(g: Graph) -> Iterator[Rotation]:
     """All rotation systems of g: the product over vertices of the
-    (deg - 1)! cyclic orders of their darts."""
+    (deg - 1)! cyclic orders of their darts, each cycle starting at its
+    smallest neighbor."""
     per_vertex: list[list[tuple[int, ...]]] = []
     for nbrs in g.adj:
         if len(nbrs) <= 2:
@@ -219,8 +237,7 @@ def enumerate_rotation_systems(g: Graph) -> Iterator[RotationSystem]:
             per_vertex.append(
                 [(anchor,) + p for p in itertools.permutations(rest)]
             )
-    for combo in itertools.product(*per_vertex):
-        yield RotationSystem(combo)
+    yield from itertools.product(*per_vertex)
 
 
 # ---------------------------------------------------------------------------

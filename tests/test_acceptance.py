@@ -89,9 +89,9 @@ def test_criterion_03_obstruction_identities():
 
     vq = decide(cube_graph())
     assert vq.planar
-    fs = vq.faces
-    assert (fs.vertex_count, fs.edge_count, fs.face_count) == (8, 12, 6)
-    assert fs.vertex_count - fs.edge_count + fs.face_count == 2
+    cube, fs = cube_graph(), vq.faces
+    assert (cube.n, cube.num_edges, len(fs.walks)) == (8, 12, 6)
+    assert cube.n - cube.num_edges + len(fs.walks) == 2
     _report(3, "obstruction identities", "K5, K3,3, Petersen, Q3 all as expected")
 
 
@@ -144,7 +144,7 @@ def test_criterion_05_face_boundaries_theta_free():
                 if fs.genus != 0:
                     continue
                 planar_rotations += 1
-                for f in range(fs.face_count):
+                for f in range(len(fs.walks)):
                     assert not contains_theta(face_boundary(g, fs, f))
     _report(
         5,
@@ -195,7 +195,7 @@ def test_criterion_09_genus_landmarks():
     k5 = complete_graph(5)
     faces5 = [trace_faces(k5, rho) for rho in enumerate_rotation_systems(k5)]
     assert min(fs.genus for fs in faces5) == 1
-    assert max(fs.face_count for fs in faces5) == 5
+    assert max(len(fs.walks) for fs in faces5) == 5
     k33 = complete_bipartite(3, 3)
     genera33 = {genus(k33, rho) for rho in enumerate_rotation_systems(k33)}
     assert min(genera33) == 1

@@ -5,7 +5,6 @@ non-planar ones."""
 
 import itertools
 import json
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +23,11 @@ from test_embedding import reference_faces
 def traced(g, rotation):
     """The face walks and Euler data of a rotation, by the reference
     tracer, plus its genus; ValueError when it does not fit g."""
-    rho = types.SimpleNamespace(n=len(rotation), order=tuple(map(tuple, rotation)))
-    faces, _ = reference_faces(g, rho)
+    faces, _ = reference_faces(g, tuple(map(tuple, rotation)))
     euler = {
-        "V": faces.vertex_count,
-        "E": faces.edge_count,
-        "F": faces.face_count,
+        "V": g.n,
+        "E": g.num_edges,
+        "F": len(faces.walks),
         "components": faces.components,
     }
     return [list(w) for w in faces.walks], euler, faces.genus

@@ -22,11 +22,7 @@ from planarcert.documents import (
     verdict_doc_is_valid,
     verdict_to_doc,
 )
-from planarcert.embedding import (
-    RotationSystem,
-    genus,
-    lr_planar_rotation,
-)
+from planarcert.embedding import genus, lr_planar_rotation
 from planarcert.errors import InternalInconsistencyError
 from planarcert.lemmas import lemma_report
 from planarcert.graphs import (
@@ -325,19 +321,7 @@ def test_auditing_a_planar_grid_never_builds_the_edge_set():
     assert verdict_doc_is_valid(g, doc)
     assert g._edges is None and g._adj_mask is None
     assert g.edges == grid.edges  # built on first use
-
-
-def test_auditing_a_planar_grid_never_builds_a_rotation_system(monkeypatch):
-    grid = grid_graph(30, 30)
-    doc = verdict_to_doc(grid, decide(grid))
-    g = parse_edge_list(format_edge_list(grid))
-
-    def refuse(self, order):
-        raise AssertionError("the audit built a RotationSystem")
-
-    monkeypatch.setattr(RotationSystem, "__init__", refuse)
-    assert verdict_doc_is_valid(g, doc)
-    doc["rotation"][1][0] = 899  # a stranger: the rejection builds none either
+    doc["rotation"][1][0] = 899  # a stranger
     assert not verdict_doc_is_valid(g, doc)
 
 
@@ -729,6 +713,28 @@ def test_harness_command(capsys):
 def test_harness_unknown_campaign_exits_2(capsys):
     code, _, _ = run(capsys, ["harness", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["kuratowski", "--max-n", "-1"], "--max-n"),
+        (["menger-cubic", "--samples", "-3"], "--samples"),
+        (["kuratowski-classes", "--max-n", "-1"], "--max-n"),
+    ],
+)
+def test_harness_refuses_a_negative_size(capsys, argv, option):
+    # these reported 0 graphs and passed, or died inside factorial()
+    code, out, err = run(capsys, ["harness", *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:")
+    assert f"argument {option}: must not be negative" in err
+
+
+def test_check_budget_defaults_to_the_decision_default():
+    assert build_parser().parse_args(["check", "-"]).budget == (
+        planarity.DEFAULT_CONFIG.node_budget
+    )
 
 
 def test_harness_dispatches_through_the_campaign_registry(capsys, monkeypatch):

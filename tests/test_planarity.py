@@ -22,7 +22,7 @@ from planarcert.planarity import (
 from planarcert.subdivision import Pattern, find_subdivision, validate_subdivision
 
 from conftest import graphs, grid_graph
-from reference import cube_graph
+from reference import canonical_rotation, cube_graph
 
 
 def test_decide_k5():
@@ -41,7 +41,7 @@ def test_decide_k33():
 def test_decide_k4():
     verdict = decide(complete_graph(4))
     assert verdict.planar
-    assert verdict.faces.face_count == 4
+    assert len(verdict.faces.walks) == 4
     assert genus(complete_graph(4), verdict.rotation) == 0
 
 
@@ -55,11 +55,12 @@ def test_decide_petersen():
 
 
 def test_decide_cube():
-    verdict = decide(cube_graph())
+    cube = cube_graph()
+    verdict = decide(cube)
     assert verdict.planar
     fs = verdict.faces
-    assert (fs.vertex_count, fs.edge_count, fs.face_count) == (8, 12, 6)
-    assert fs.vertex_count - fs.edge_count + fs.face_count == 2
+    assert (cube.n, cube.num_edges, len(fs.walks)) == (8, 12, 6)
+    assert cube.n - cube.num_edges + len(fs.walks) == 2
 
 
 def test_decide_via_minor_examples():
@@ -116,7 +117,6 @@ def test_one_budget_bounds_the_test_and_the_minor_search():
 
 def test_decide_never_returns_an_uncertified_verdict(monkeypatch):
     import planarcert.planarity as planarity
-    from planarcert.embedding import RotationSystem
 
     k4 = complete_graph(4)
     monkeypatch.setattr(planarity, "lr_planar_rotation", lambda g, budget: None)
@@ -125,7 +125,7 @@ def test_decide_never_returns_an_uncertified_verdict(monkeypatch):
     with pytest.raises(InternalInconsistencyError):
         decide(k4, DecisionConfig(path=DecisionPath.MINOR))
     # a genus-1 rotation of K4 is never passed off as planar
-    toroidal = RotationSystem([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+    toroidal = canonical_rotation([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
     assert genus(k4, toroidal) != 0
     monkeypatch.setattr(planarity, "lr_planar_rotation", lambda g, budget: toroidal)
     with pytest.raises(InternalInconsistencyError):
@@ -235,7 +235,7 @@ def test_verdict_soundness(g):
     if verdict.planar:
         assert genus(g, verdict.rotation) == 0
         fs = verdict.faces
-        assert fs.vertex_count - fs.edge_count + fs.face_count == 2 * fs.components
+        assert g.n - g.num_edges + len(fs.walks) == 2 * fs.components
     else:
         assert verdict.certificate.pattern in (Pattern.K5, Pattern.K33)
         assert validate_subdivision(g, verdict.certificate)

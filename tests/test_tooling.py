@@ -69,9 +69,10 @@ def test_every_traced_function_resolves():
 
 
 def _unused_definitions(public: bool) -> list[str]:
-    """Module-level functions and classes, and methods, public or private,
-    that nothing in the package uses outside their own body; __init__'s
-    re-export counts as a use of a module-level name.
+    """Module-level functions, classes, constants and type aliases, and
+    methods, public or private, that nothing in the package uses outside
+    their own definition; __init__'s re-export counts as a use of a
+    module-level name.
 
     A module-level name counts as used wherever it appears.  A method is
     reached as an attribute, x.name, and the scan cannot tell which class
@@ -134,17 +135,32 @@ def _unused_definitions(public: bool) -> list[str]:
             for read in reads
         )
 
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            return []
+        return [
+            name.id
+            for target in targets
+            for name in (target.elts if isinstance(target, ast.Tuple) else [target])
+            if isinstance(name, ast.Name)
+        ]
+
     found = []
     for path, tree in tree_of.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if (
-                node.name.startswith("_") != public
-                and not node.name.startswith("__")
-                and uses.get(node.name, 0) <= sum(n == node.name for n in names(node))
-            ):
-                found.append(f"{path.name}:{node.lineno} {node.name}")
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in defined(node)
+                if name.startswith("_") != public
+                and not name.startswith("__")
+                and uses.get(name, 0) <= sum(n == name for n in names(node))
+            ]
             if not isinstance(node, ast.ClassDef):
                 continue
             found += [
