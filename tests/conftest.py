@@ -61,3 +61,12 @@ def k33_in_grid(side: int):
     hexagon = [ring[k * len(ring) // 6] for k in range(6)]
     chords = [(hexagon[k], hexagon[k + 3]) for k in range(3)]
     return Graph(side * side, list(grid_graph(side, side).edges) + chords)
+
+
+def relabeled(g, rng):
+    """g with its vertices renamed by a permutation rng draws."""
+    from planarcert.graphs import Graph
+
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

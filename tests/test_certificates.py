@@ -2,8 +2,12 @@
 
 tests/golden/certificates.kv holds one line per route and corpus,
 ``<route> <corpus> <sha256>``: the digest of one line per graph, in
-corpus order.  A change that alters a certificate on purpose rewrites the
-file with
+corpus order.  The planarity routes run over every labeled graph on at
+most 5 vertices and every isomorphism class on 6; lr_kuratowski, which
+takes non-planar graphs only, runs over the K3,3 in k x k grids for seven
+k from 3 to 60, each relabeled with seeds 0-2, and over the non-planar
+members of 400 seeded random graphs on 6 to 40 vertices.  A change that
+alters a certificate on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_certificates.py > tests/golden/certificates.kv
 
@@ -15,12 +19,20 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import random
 
 from planarcert.documents import to_json, verdict_to_doc
-from planarcert.embedding import find_covering_planar_rotation, find_planar_rotation
+from planarcert import lr_kuratowski
+from planarcert.embedding import (
+    find_covering_planar_rotation,
+    find_planar_rotation,
+    lr_planar_rotation,
+)
 from planarcert.graphs import enumerate_labeled_graphs, from_edge_mask
-from planarcert.harness import enumerate_graph_class_masks
+from planarcert.harness import enumerate_graph_class_masks, make_rng, random_graph
 from planarcert.planarity import decide
+
+from conftest import k33_in_grid, relabeled
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "certificates.kv"
 
@@ -28,11 +40,30 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "certificates.kv"
 def _corpora():
     labeled = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
     classes = [from_edge_mask(6, mask) for mask in enumerate_graph_class_masks(6)]
-    return {"labeled-n1-5": labeled, "classes-n6": classes}
+    grids = [
+        relabeled(k33_in_grid(k), random.Random(seed))
+        for k in (3, 5, 10, 20, 30, 45, 60)
+        for seed in range(3)
+    ]
+    rng = make_rng(0)
+    drawn = [
+        random_graph(rng.randint(6, 40), (0.1, 0.2, 0.3)[i % 3], rng) for i in range(400)
+    ]
+    nonplanar = [g for g in drawn if lr_planar_rotation(g) is None]
+    return {
+        "labeled-n1-5": labeled,
+        "classes-n6": classes,
+        "k33-grids": grids,
+        "random-nonplanar": nonplanar,
+    }
 
 
 def _rotation_line(rho) -> str:
     return json.dumps(None if rho is None else [list(cyc) for cyc in rho])
+
+
+def _certificate_line(cert) -> str:
+    return json.dumps([cert.pattern.value, cert.branch, cert.paths])
 
 
 ROUTES = {
@@ -41,6 +72,15 @@ ROUTES = {
     "find_covering_planar_rotation": lambda g: _rotation_line(
         find_covering_planar_rotation(g)
     ),
+    "lr_kuratowski": lambda g: _certificate_line(lr_kuratowski(g)),
+}
+PLANARITY = ("decide", "find_planar_rotation", "find_covering_planar_rotation")
+# the routes each corpus runs through, in the order of its lines
+PLAN = {
+    "labeled-n1-5": PLANARITY,
+    "classes-n6": PLANARITY,
+    "k33-grids": ("lr_kuratowski",),
+    "random-nonplanar": ("lr_kuratowski",),
 }
 
 
@@ -48,10 +88,10 @@ def certificate_digests() -> str:
     """The text of certificates.kv, recomputed."""
     lines = []
     for corpus, graphs in _corpora().items():
-        for route, certificate in ROUTES.items():
+        for route in PLAN[corpus]:
             digest = hashlib.sha256()
             for g in graphs:
-                digest.update(certificate(g).encode() + b"\n")
+                digest.update(ROUTES[route](g).encode() + b"\n")
             lines.append(f"{route} {corpus} {digest.hexdigest()}\n")
     return "".join(lines)
 
@@ -60,6 +100,8 @@ def test_corpora_have_the_documented_sizes():
     assert {name: len(gs) for name, gs in _corpora().items()} == {
         "labeled-n1-5": 1099,
         "classes-n6": 156,
+        "k33-grids": 21,
+        "random-nonplanar": 252,
     }
 
 

@@ -39,7 +39,7 @@ from planarcert.graphs import (
 from planarcert.harness import enumerate_graph_class_masks
 from planarcert.subdivision import Pattern, contains_theta, validate_subdivision
 
-from conftest import graphs, grid_graph, k33_in_grid
+from conftest import graphs, grid_graph, k33_in_grid, relabeled
 from reference import (
     are_isomorphic,
     canonical_rotation,
@@ -549,7 +549,7 @@ def test_lr_returns_canonical_cycles_without_the_strict_constructor(
         path_graph(40),
         Graph(60, [(v, rng.randrange(v)) for v in range(1, 60)]),  # a tree
     ]
-    larger += [_relabeled(_random_triangulated_piece(rng), rng) for _ in range(8)]
+    larger += [relabeled(_random_triangulated_piece(rng), rng) for _ in range(8)]
 
     rotations = [lr_planar_rotation(g) for g in [*all_graphs_up_to_5, *larger]]
     for rho in rotations:
@@ -565,12 +565,6 @@ def test_lr_returns_canonical_cycles_without_the_strict_constructor(
         )
 
 
-def _relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 def _random_triangulated_piece(rng):
     grid = grid_graph(rng.randint(1, 14), rng.randint(1, 14), diagonals=True)
     keep = rng.uniform(0.5, 1.0)
@@ -581,7 +575,7 @@ def _random_triangulated_piece(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_lr_embeds_relabeled_triangulated_grid_pieces(seed):
     rng = random.Random(seed)
-    g = _relabeled(_random_triangulated_piece(rng), rng)
+    g = relabeled(_random_triangulated_piece(rng), rng)
     rho = lr_planar_rotation(g)
     assert rho is not None
     assert genus(g, rho) == 0
@@ -598,7 +592,7 @@ def _piece_joined_to_obstruction(rng, pattern):
     k = piece.n
     edges = list(piece.edges) + [(u + k, v + k) for u, v in obstruction.edges]
     edges.append((rng.randrange(k), k + rng.randrange(obstruction.n)))
-    return _relabeled(Graph(k + obstruction.n, edges), rng)
+    return relabeled(Graph(k + obstruction.n, edges), rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,7 +717,7 @@ def test_left_right_reports_its_tree_and_the_failing_conflict():
     assert embedding._left_right(complete_graph(5).adj, 10) == (None, [])
     spans = []
     for g in (complete_bipartite(3, 3), petersen_graph(),
-              _relabeled(k33_in_grid(12), random.Random(3)),
+              relabeled(k33_in_grid(12), random.Random(3)),
               subdivide_edge(complete_graph(5), (0, 1))):
         cycles, failure = embedding._left_right(g.adj, g.num_edges)
         assert cycles is None
@@ -745,7 +739,7 @@ def test_left_right_reports_its_tree_and_the_failing_conflict():
 def test_lr_kuratowski_steps_stay_linear_on_a_k33_in_shuffled_grids(k, seed):
     # the deletion alone, with no hint, takes 2.6 to 26.9 m steps on
     # these graphs, depending on the labeling
-    g = _relabeled(k33_in_grid(k), random.Random(seed))
+    g = relabeled(k33_in_grid(k), random.Random(seed))
     budget = StepBudget(10**12)
     cert = lr_kuratowski(g, budget)
     assert 10**12 - budget.remaining <= 4 * g.num_edges
