@@ -36,7 +36,6 @@ from .embedding import (
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
-    lr_kuratowski,
     lr_planar_rotation,
     trace_faces,
 )
@@ -53,6 +52,7 @@ from .subdivision import (
     validate_minor,
     validate_subdivision,
 )
+from .kuratowski import lr_kuratowski
 from .lemmas import (
     LemmaReport,
     condition1,

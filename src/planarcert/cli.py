@@ -56,16 +56,21 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise DocumentError("invalid JSON: nested too deeply") from None
 
 
-def _count(text: str) -> int:
-    """A non-negative int, the argparse type of --max-n and --samples."""
+def _count(text: str, least: int = 0) -> int:
+    """An int of at least `least`: the argparse type of --max-n and
+    --samples, and with least=1 of --budget, so that a bad value is refused
+    with the usage line before any input is read."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    if value < least:
+        rule = "must be positive" if least else "must not be negative"
+        raise argparse.ArgumentTypeError(f"{rule}, got {value}")
     return value
 
 
@@ -162,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--budget",
-        type=int,
+        type=functools.partial(_count, least=1),
         default=DEFAULT_CONFIG.node_budget,
         help="steps allowed to one decision (exit 3 when spent): an edge "
         "oriented by the left-right test, in the decision and in the "

@@ -1,7 +1,7 @@
 """Combinatorial embeddings: rotations, face tracing, genus, and two ways
 to find a genus-0 (planar) rotation: the left-right planarity test and a
-backtracking search.  A graph the left-right test rejects gets a
-Kuratowski subdivision extracted with the same test as its oracle.
+backtracking search.  The left-right test, with its report of where it
+failed, is the oracle of the Kuratowski extraction in `kuratowski`.
 
 A dart is an ordered pair (u, v): the end of edge {u, v} attached to u.
 A rotation fixes a cyclic order of the darts leaving each vertex,
@@ -25,19 +25,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InternalInconsistencyError, StepBudget
-from .graphs import Edge, Graph, biconnected_components, normalize_edge
-from .subdivision import (
-    SubdivisionCertificate,
-    pruned_chains,
-    read_off,
-    validate_subdivision,
-)
+from .graphs import Edge, Graph, normalize_edge
 
 # rotation[v] is v's cyclic order of neighbors from its smallest one
 Rotation = tuple[tuple[int, ...], ...]
@@ -842,246 +834,3 @@ def _left_right(
             d = cw[d]
         orders.append(tuple(cyc))
     return tuple(orders), []
-
-
-# ---------------------------------------------------------------------------
-# Kuratowski extraction
-# ---------------------------------------------------------------------------
-
-
-def lr_kuratowski(
-    g: Graph, node_budget: int | StepBudget | None = None
-) -> SubdivisionCertificate:
-    """A K5 or K3,3 subdivision in g, found with the left-right test as the
-    only oracle.
-
-    Works on a reduced copy H of g whose edges each stand for a path of g:
-    degree-1 vertices are pruned, each degree-2 vertex is suppressed into
-    one chain edge, and a chain whose ends are already adjacent is dropped,
-    since a parallel edge never changes planarity.  A graph is planar iff
-    each of its biconnected components is, so the components of H are
-    tested in turn until one is rejected.
-
-    The rejecting test also reports where it failed: its DFS tree and the
-    back edges of the conflict it could not resolve (Brandes 2009, sec.
-    3-4).  The first deletion block is every H edge outside that failure
-    set.  It is deleted, and H re-reduced around it, if the test still
-    rejects what is left; the tree then collapses into the chains of a
-    few fundamental cycles, so the rest of the search runs on a small H.
-    The failure set is a hint, not a proof: if the test accepts what is
-    left, H is left as it was, cut down to the rejected component, and the
-    extraction goes on exactly as it would without the hint.
-
-    Blocks of about a quarter of H's edges, drawn from a shuffled queue,
-    are then deleted while the test still rejects what remains, and H is
-    re-reduced around every deletion.  A block H cannot lose is halved,
-    and each half is tested in turn.  A single edge H cannot lose stays,
-    and so does any chain suppression builds through it: every later H is
-    a subgraph of a subdivision of the one that needed it.  Extraction
-    stops when H is K5 (5 vertices, 10 edges) or K3,3 (6 vertices, 9
-    edges: minimum degree 3 makes H cubic, and the other cubic graph on 6
-    vertices, the prism, is planar).  H's edges expand into g's, and the
-    read-off the minor route and the lift share (`subdivision.pruned_chains`
-    and `read_off`) names the certificate, which must pass
-    validate_subdivision.
-
-    Each test runs on H (or one component) relabeled to compact ids, so it
-    costs O(|H|), not O(n).  `node_budget` bounds the oriented edges over
-    all tests together, and may be a StepBudget shared with other calls;
-    exceeding it raises SearchBudgetExceeded.  A graph the test accepts, an
-    H of any other final shape, or a certificate that fails validation
-    raises InternalInconsistencyError.
-    """
-    budget = _step_budget(node_budget)
-    # H: edge e joins ends[e][0] to ends[e][1]; an edge built by suppressing
-    # vertex v has parts[e] = (edge from ends[e][0] to v, v, edge from v to
-    # ends[e][1]), an edge of g has parts[e] = None.  nbr[v] maps each
-    # neighbor of v in H to the edge joining them, in the order the edges
-    # were made, and is None once v has left H
-    nbr: list[dict[int, int] | None] = [{} for _ in range(g.n)]
-    ends: list[tuple[int, int]] = list(g.sorted_edges())
-    parts: list[tuple[int, int, int] | None] = [None] * len(ends)
-    for e, (u, v) in enumerate(ends):
-        nbr[u][v] = nbr[v][u] = e
-    order = g.n  # vertices left in H
-    alive = set(range(len(ends)))
-    queue: deque[int] = deque()  # chain edges; the deletion puts g's in front
-    kept: set[int] = set()  # edges H cannot lose
-
-    def reduce(stack: list[int]) -> None:
-        nonlocal order
-        while stack:
-            v = stack.pop()
-            around = nbr[v]
-            if around is None or len(around) > 2:
-                continue
-            nbr[v] = None
-            order -= 1
-            if len(around) < 2:
-                for w, e in around.items():
-                    alive.discard(e)
-                    del nbr[w][v]
-                    stack.append(w)
-                continue
-            (a, ea), (b, eb) = around.items()
-            alive.discard(ea)
-            alive.discard(eb)
-            near, far = nbr[a], nbr[b]
-            del near[v], far[v]
-            if b in near:  # parallel chain: drop it
-                stack += (a, b)
-                continue
-            e = len(ends)
-            ends.append((a, b))
-            parts.append((ea, v, eb))
-            near[b] = far[a] = e
-            alive.add(e)
-            if ea in kept or eb in kept:
-                kept.add(e)
-            else:
-                queue.append(e)
-
-    def delete(block: Iterable[int]) -> None:
-        stack: list[int] = []
-        for e in block:
-            a, b = ends[e]
-            alive.discard(e)
-            del nbr[a][b], nbr[b][a]
-            stack += (a, b)
-        reduce(stack)
-
-    def compact(edges: Iterable[int]) -> tuple[list[list[int]], list[Edge]]:
-        """The graph of these H edges relabeled to compact ids: its
-        neighbor lists, and the ends of each edge in the order given."""
-        ids: dict[int, int] = {}
-        adj: list[list[int]] = []
-        pairs: list[Edge] = []
-        for a, b in map(ends.__getitem__, edges):
-            i = ids.get(a)
-            if i is None:
-                i = ids[a] = len(adj)
-                adj.append([])
-            j = ids.get(b)
-            if j is None:
-                j = ids[b] = len(adj)
-                adj.append([])
-            adj[i].append(j)
-            adj[j].append(i)
-            pairs.append((i, j))
-        return adj, pairs
-
-    def rejects(edges: Iterable[int]) -> bool:
-        """Whether the test rejects the graph of these H edges."""
-        adj, pairs = compact(edges)
-        return _left_right(adj, len(pairs), budget)[0] is None
-
-    def failure_of(edges: list[int]) -> set[int] | None:
-        """None if the test accepts the graph of these H edges, else the
-        H edges of the failure it reports."""
-        adj, pairs = compact(edges)
-        cycles, failed = _left_right(adj, len(pairs), budget)
-        if cycles is not None:
-            return None
-        edge_at = dict(zip(pairs, edges))
-        edge_at.update(zip([(j, i) for i, j in pairs], edges))
-        return set(map(edge_at.__getitem__, failed))
-
-    def localise(hint: set[int]) -> bool:
-        """Delete every H edge outside hint, and re-reduce, if the test
-        still rejects what is left; else leave H as it was.  The deletion
-        runs on copies, so a refused hint leaves no trace in H.  An empty
-        hint (the test rejected on edge count alone), or one that leaves
-        out less than the deletion's first block would, is not tried."""
-        nonlocal nbr, alive, kept, queue, order
-        before = nbr, alive, kept, queue, order, len(ends)
-        block = [e for e in alive if e not in hint]
-        if not hint or len(block) < max(1, len(alive) // 4):
-            return False
-        nbr = [None if around is None else around.copy() for around in nbr]
-        alive, kept, queue = set(alive), set(kept), deque(queue)
-        delete(block)
-        if rejects(alive):
-            return True
-        nbr, alive, kept, queue, order, made = before
-        del ends[made:], parts[made:]
-        return False
-
-    def settled() -> bool:
-        return (order, len(alive)) in ((5, 10), (6, 9))
-
-    reduce(list(range(g.n)))
-    localised = False
-    if not settled():
-        # a graph is planar iff each of its biconnected components is, and
-        # one with fewer than the 9 edges of K3,3 is: keep the first
-        # component the test rejects
-        for comp in biconnected_components(nbr):
-            if len(comp) >= 9:
-                hint = failure_of(comp)
-                if hint is not None:
-                    break
-        else:
-            raise InternalInconsistencyError(
-                "left-right test accepts the graph: no obstruction to extract"
-            )
-        localised = localise(hint)
-        if not localised and len(comp) < len(alive):
-            inside = set(comp)
-            delete([e for e in alive if e not in inside])
-    if not settled():
-        # a shuffled queue scatters each block over H: edges with nearby
-        # labels are often nearby in the graph, and deleting such a band
-        # tends to cut every obstruction at once.  Reduction alone settles
-        # many graphs, so the shuffle waits until the deletion needs it;
-        # g's edges go ahead of the chains reduction has built so far.
-        # Once localised, H keeps only a few of g's edges: just those are
-        # shuffled
-        if localised:
-            shuffled = sorted(e for e in alive if e < g.num_edges)
-        else:
-            shuffled = list(range(g.num_edges))
-        random.Random(0).shuffle(shuffled)
-        queue.extendleft(reversed(shuffled))
-    halves: list[list[int]] = []  # of blocks H could not lose, next on top
-    while not settled():
-        if halves:
-            block = [e for e in halves.pop() if e in alive]
-            if not block:
-                continue
-        else:
-            block = []
-            size = max(1, len(alive) // 4)
-            while queue and len(block) < size:
-                e = queue.popleft()
-                if e in alive:
-                    block.append(e)
-            if not block:
-                break
-        drop = set(block)
-        if rejects(e for e in alive if e not in drop):
-            delete(block)
-        elif len(block) == 1:
-            kept.add(block[0])
-        else:
-            half = (len(block) + 1) // 2
-            halves += (block[half:], block[:half])
-    if not settled():
-        raise InternalInconsistencyError(
-            f"extraction ended with {order} vertices and {len(alive)} "
-            "edges, neither K5 nor K3,3"
-        )
-
-    # the edges of g that H's edges stand for
-    edges: list[Edge] = []
-    todo = list(alive)
-    while todo:
-        e = todo.pop()
-        split = parts[e]
-        if split is None:
-            edges.append(ends[e])
-        else:
-            todo += (split[0], split[2])
-    cert = read_off(pruned_chains(edges))
-    if not validate_subdivision(g, cert):
-        raise InternalInconsistencyError("extracted certificate does not validate")
-    return cert

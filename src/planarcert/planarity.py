@@ -32,12 +32,12 @@ from .embedding import (
     Rotation,
     find_planar_rotation,
     genus,
-    lr_kuratowski,
     lr_planar_rotation,
     trace_faces,
 )
 from .errors import InternalInconsistencyError, StepBudget
 from .graphs import Graph
+from .kuratowski import lr_kuratowski
 from .subdivision import (
     Pattern,
     SubdivisionCertificate,

@@ -11,11 +11,11 @@ blocks.
 
 All three routes to a Kuratowski certificate read it off one way:
 `pruned_chains` prunes a subgraph to branch vertices and the chains
-between them, and `read_off` names the pattern.  `lr_kuratowski` feeds
-it the edges the left-right test could not lose, `minor_to_subdivision`
-a spanning tree of each branch set plus the crossing edges, and
-`lift_certificate` a certificate of G/xy with each edge at the merged
-vertex moved back to x or y.  The last two meet the paper's contraction
+between them, and `read_off` names the pattern.  `lr_kuratowski`, in
+`kuratowski`, feeds it the edges the left-right test could not lose,
+`minor_to_subdivision` a spanning tree of each branch set plus the
+crossing edges, and `lift_certificate` a certificate of G/xy with each
+edge at the merged vertex moved back to x or y.  The last two meet the paper's contraction
 lemma: a K5 branch vertex whose strands split 2-2 over two vertices
 gives a K3,3, which `_split_k5` reads off for both.
 """

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from planarcert.cli import main
 from planarcert.documents import format_edge_list, verdict_to_doc
-from planarcert.graphs import Graph
+from planarcert.graphs import Graph, complete_graph
 from planarcert.planarity import decide
 from planarcert.subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 
@@ -161,3 +161,26 @@ def test_certify_agrees_with_a_reference_rederivation(folder, g, data):
     assert code == reference_exit(g, doc)
     if not mutations:
         assert code == 0
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("where", ["bare", "rotation", "paths"])
+def test_certify_refuses_deeply_nested_json_as_an_input_error(folder, capsys, where):
+    # the JSON parser recurses once per nested array, so a deep enough
+    # document must end as malformed input (exit 2), not a RecursionError
+    g = complete_graph(4 if where == "rotation" else 5)  # planar only in rotation's case
+    doc = verdict_to_doc(g, decide(g))
+    if where == "bare":
+        text = DEEP
+    else:
+        target = doc["rotation"] if where == "rotation" else doc["certificate"]["paths"]
+        target[0] = "DEEP"
+        text = json.dumps(doc).replace('"DEEP"', DEEP)
+    graph_path = folder / "nested.edges"
+    doc_path = folder / "nested.json"
+    graph_path.write_text(format_edge_list(g))
+    doc_path.write_text(text)
+    assert main(["certify", str(graph_path), str(doc_path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planarcert import cli, documents, embedding, planarity, subdivision
+from planarcert import cli, documents, embedding, kuratowski, planarity, subdivision
 from planarcert.cli import build_parser, main
 from planarcert.documents import (
     DocumentError,
@@ -527,7 +527,7 @@ def test_nonplanar_check_validate_validates_its_certificate_once(
         calls.append(cert.pattern)
         return real(g, cert)
 
-    for module in (subdivision, embedding, planarity, documents):
+    for module in (subdivision, kuratowski, planarity, documents):
         monkeypatch.setattr(module, "validate_subdivision", counted)
     k5 = complete_graph(5)
     for e in ((0, 1), (2, 3), (1, 4)):
@@ -729,6 +729,18 @@ def test_harness_refuses_a_negative_size(capsys, argv, option):
     assert (code, out) == (2, "")
     assert err.startswith("usage:")
     assert f"argument {option}: must not be negative" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_refuses_a_non_positive_budget_before_reading(capsys, tmp_path, budget):
+    # the graph file does not exist: the budget is refused first, as a
+    # usage error, before anything is read
+    missing = str(tmp_path / "missing.edges")
+    code, out, err = run(capsys, ["check", missing, "--budget", budget])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:")
+    assert f"argument --budget: must be positive, got {budget}" in err
+    assert "cannot read" not in err
 
 
 def test_check_budget_defaults_to_the_decision_default():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planarcert import embedding
+from planarcert import embedding, kuratowski
 from planarcert.documents import verdict_doc_is_valid
 from planarcert.embedding import (
     FaceSet,
@@ -17,7 +17,6 @@ from planarcert.embedding import (
     find_covering_planar_rotation,
     find_planar_rotation,
     genus,
-    lr_kuratowski,
     lr_planar_rotation,
     trace_faces,
 )
@@ -37,6 +36,7 @@ from planarcert.graphs import (
     subdivide_edge,
 )
 from planarcert.harness import enumerate_graph_class_masks
+from planarcert.kuratowski import lr_kuratowski
 from planarcert.subdivision import Pattern, contains_theta, validate_subdivision
 
 from conftest import graphs, grid_graph, k33_in_grid, relabeled
@@ -673,7 +673,7 @@ def test_lr_kuratowski_queue_puts_the_shuffled_edges_before_the_chains(monkeypat
 def _tree_only_failures(monkeypatch):
     """Cut every failure the left-right test reports down to its DFS tree,
     which is planar, so that lr_kuratowski never localises."""
-    real = embedding._left_right
+    real = kuratowski._left_right
     tests = []
 
     def tree_only(adj, m, budget=None):
@@ -681,7 +681,7 @@ def _tree_only_failures(monkeypatch):
         tests.append(m)
         return cycles, failure[: len(adj) - 1]
 
-    monkeypatch.setattr(embedding, "_left_right", tree_only)
+    monkeypatch.setattr(kuratowski, "_left_right", tree_only)
     return tests
 
 

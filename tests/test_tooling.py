@@ -46,6 +46,26 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_embedding_stays_below_the_kuratowski_extraction():
+    # kuratowski builds on embedding's left-right test, not the other way
+    # round: embedding needs only errors and graphs from the package, and
+    # neither the extraction's shuffle nor its queue
+    tree = ast.parse((SRC / "embedding.py").read_text(encoding="utf-8"))
+    imported = set()  # dotted names: each module, and each name from one
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative, so inside the package
+                base = f"planarcert.{base}".rstrip(".")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    package = {name.split(".")[1] for name in imported if name.startswith("planarcert.")}
+    assert package <= {"errors", "graphs"}
+    assert not {"random", "collections.deque"} & imported
+
+
 def test_every_traced_function_resolves():
     # perfbench's tracer patches these names by lookup, so a rename in the
     # package would break per-layer tracing; the file is read, not imported
