@@ -587,14 +587,18 @@ def verify_lifting(samples: int, seed: int) -> CampaignReport:
     G/xy must lift to a validating certificate in G under the pattern rule
     (K3,3 stays K3,3; K5 lifts to K5 or K3,3).  Planar contractions are
     skipped but counted."""
+    return _campaign("lifting", _lifting_graphs(samples, seed), _lifting_judgement)
+
+
+def _lifting_graphs(samples: int, seed: int) -> list[Graph]:
+    """The lifting campaign's graphs: each sample draws its vertex count,
+    then its edges."""
     rng = make_rng(seed)
-    # each sample draws its vertex count, then its edges
     ps = LIFTING_PS
-    graphs = [
+    return [
         random_graph(rng.randint(4, LIFTING_MAX_N), ps[i % len(ps)], rng)
         for i in range(samples)
     ]
-    return _campaign("lifting", graphs, _lifting_judgement)
 
 
 # Every campaign by name, in the order `harness all` runs them.  A runner

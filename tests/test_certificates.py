@@ -2,11 +2,14 @@
 
 tests/golden/certificates.kv holds one line per route and corpus,
 ``<route> <corpus> <sha256>``: the digest of one line per graph, in
-corpus order.  The planarity routes run over every labeled graph on at
-most 5 vertices and every isomorphism class on 6; lr_kuratowski, which
-takes non-planar graphs only, runs over the K3,3 in k x k grids for seven
-k from 3 to 60, each relabeled with seeds 0-2, and over the non-planar
-members of 400 seeded random graphs on 6 to 40 vertices.  A change that
+corpus order.  The planarity routes and the subdivision search
+(find_kuratowski) run over every labeled graph on at most 5 vertices and
+every isomorphism class on 6; lr_kuratowski, which takes non-planar
+graphs only, runs over the K3,3 in k x k grids for seven k from 3 to 60,
+each relabeled with seeds 0-2, and over the non-planar members of 400
+seeded random graphs on 6 to 40 vertices.  The lifting route runs over
+the lifting campaign's seed-42 stream of 1,000 graphs: for every edge,
+find_kuratowski's certificate of the contraction and its lift.  A change that
 alters a certificate on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_certificates.py > tests/golden/certificates.kv
@@ -28,9 +31,15 @@ from planarcert.embedding import (
     find_planar_rotation,
     lr_planar_rotation,
 )
-from planarcert.graphs import enumerate_labeled_graphs, from_edge_mask
-from planarcert.harness import enumerate_graph_class_masks, make_rng, random_graph
+from planarcert.graphs import contract_edge, enumerate_labeled_graphs, from_edge_mask
+from planarcert.harness import (
+    _lifting_graphs,
+    enumerate_graph_class_masks,
+    make_rng,
+    random_graph,
+)
 from planarcert.planarity import decide
+from planarcert.subdivision import find_kuratowski, lift_through_contraction
 
 from conftest import k33_in_grid, relabeled
 
@@ -55,6 +64,7 @@ def _corpora():
         "classes-n6": classes,
         "k33-grids": grids,
         "random-nonplanar": nonplanar,
+        "lifting-42": _lifting_graphs(1000, 42),
     }
 
 
@@ -62,8 +72,26 @@ def _rotation_line(rho) -> str:
     return json.dumps(None if rho is None else [list(cyc) for cyc in rho])
 
 
+def _certificate_json(cert):
+    return None if cert is None else [cert.pattern.value, cert.branch, cert.paths]
+
+
 def _certificate_line(cert) -> str:
-    return json.dumps([cert.pattern.value, cert.branch, cert.paths])
+    return json.dumps(_certificate_json(cert))
+
+
+def _lifting_line(g) -> str:
+    """For every edge xy of g: xy, find_kuratowski's certificate of G/xy,
+    and its lift to g (None where G/xy is planar)."""
+    out = []
+    for x, y in g.sorted_edges():
+        contraction = contract_edge(g, (x, y))
+        cert = find_kuratowski(contraction[0])
+        lifted = None
+        if cert is not None:
+            lifted = lift_through_contraction(g, x, y, contraction, cert)
+        out.append([x, y, _certificate_json(cert), _certificate_json(lifted)])
+    return json.dumps(out)
 
 
 ROUTES = {
@@ -73,14 +101,22 @@ ROUTES = {
         find_covering_planar_rotation(g)
     ),
     "lr_kuratowski": lambda g: _certificate_line(lr_kuratowski(g)),
+    "find_kuratowski": lambda g: _certificate_line(find_kuratowski(g)),
+    "lift_through_contraction": _lifting_line,
 }
-PLANARITY = ("decide", "find_planar_rotation", "find_covering_planar_rotation")
+SMALL = (
+    "decide",
+    "find_planar_rotation",
+    "find_covering_planar_rotation",
+    "find_kuratowski",
+)
 # the routes each corpus runs through, in the order of its lines
 PLAN = {
-    "labeled-n1-5": PLANARITY,
-    "classes-n6": PLANARITY,
+    "labeled-n1-5": SMALL,
+    "classes-n6": SMALL,
     "k33-grids": ("lr_kuratowski",),
     "random-nonplanar": ("lr_kuratowski",),
+    "lifting-42": ("lift_through_contraction",),
 }
 
 
@@ -102,6 +138,7 @@ def test_corpora_have_the_documented_sizes():
         "classes-n6": 156,
         "k33-grids": 21,
         "random-nonplanar": 252,
+        "lifting-42": 1000,
     }
 
 
