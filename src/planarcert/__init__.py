@@ -49,7 +49,6 @@ from .subdivision import (
     find_subdivision,
     lift_certificate,
     minor_to_subdivision,
-    validate_minor,
     validate_subdivision,
 )
 from .kuratowski import lr_kuratowski

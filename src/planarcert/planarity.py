@@ -18,7 +18,8 @@ either answer once, here, and not again.
 
 The subdivision search, the minor search and the backtracking embedding
 search stay as independent oracles: route_bits confronts all four routes
-on one graph, and the harness campaigns run it over every small graph.
+on one graph, validating each certificate they return, and the harness
+campaigns run it over every small graph.
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ def decide_via_minor(g: Graph, config: DecisionConfig = DEFAULT_CONFIG) -> Verdi
 
 class RouteBits(NamedTuple):
     """The planarity bit of each independent route on one graph.  The
-    left-right and minor bits are None when their route cannot certify
-    its answer."""
+    left-right, subdivision and minor bits are None when their route cannot
+    certify its answer."""
 
     left_right: bool | None
-    subdivision: bool
+    subdivision: bool | None
     minor: bool | None
     embedding: bool
 
@@ -144,16 +145,24 @@ def route_bits(g: Graph) -> RouteBits:
     """Run each of the four routes once: the left-right test (a rotation
     checked for genus 0, or a Kuratowski extraction that validates), the
     backtracking embedding search (its rotation checked for genus 0), the
-    subdivision search, and the minor search with its conversion to a
-    subdivision certificate (which must validate).  The left-right test
-    and the embedding search each get the default node budget."""
+    subdivision search (its certificate must validate), and the minor
+    search with its conversion to a subdivision certificate (which must
+    validate).  The left-right test and the embedding search each get the
+    default node budget."""
     emb = find_planar_rotation(g, DEFAULT_CONFIG.node_budget)
     return RouteBits(
         left_right=_left_right_bit(g),
-        subdivision=find_kuratowski(g) is None,
+        subdivision=_subdivision_bit(g),
         minor=_minor_bit(g),
         embedding=emb is not None and genus(g, emb) == 0,
     )
+
+
+def _subdivision_bit(g: Graph) -> bool | None:
+    cert = find_kuratowski(g)
+    if cert is None:
+        return True
+    return False if validate_subdivision(g, cert) else None
 
 
 def _minor_bit(g: Graph) -> bool | None:

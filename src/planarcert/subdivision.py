@@ -3,11 +3,12 @@
 A subdivision certificate maps pattern vertices to branch vertices of the
 host graph and pattern edges to internally disjoint paths.  A minor
 certificate maps pattern vertices to disjoint connected branch sets and
-pattern edges to crossing edges.  Both come with independent validators;
-the searchers promise nothing the validators cannot check.  The patterns
-are K5 and K3,3.  Theta-freeness, which the edge-deletion lemmas ask
-about, needs no search: `contains_theta` reads it off the biconnected
-blocks.
+pattern edges to crossing edges.  The searchers promise nothing a
+validator cannot check: `validate_subdivision` checks a subdivision
+certificate, and `minor_to_subdivision` checks a minor certificate before
+it converts it.  The patterns are K5 and K3,3.  Theta-freeness, which the
+edge-deletion lemmas ask about, needs no search: `contains_theta` reads it
+off the biconnected blocks.
 
 All three routes to a Kuratowski certificate read it off one way:
 `pruned_chains` prunes a subgraph to branch vertices and the chains
@@ -22,6 +23,7 @@ gives a K3,3, which `_split_k5` reads off for both.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from collections import defaultdict
@@ -40,30 +42,24 @@ from .graphs import (
 
 
 class Pattern(enum.Enum):
+    """K5 or K3,3.  `branch_count` and `branch_degree` give its branch
+    vertices and their degree, and `edge_list` its edges as pairs of
+    pattern-vertex indices; they are plain member attributes, read in the
+    searches' and the validator's inner loops."""
+
     K5 = "K5"
     K33 = "K33"
 
-    @property
-    def branch_count(self) -> int:
-        return _BRANCH_COUNT[self]
-
-    @property
-    def branch_degree(self) -> int:
-        return _BRANCH_DEGREE[self]
-
-    @property
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        """Pattern edges as pairs of pattern-vertex indices."""
-        return _EDGE_LIST[self]
+    def __init__(self, value: str) -> None:
+        if value == "K5":
+            self.branch_count, self.branch_degree = 5, 4
+            self.edge_list = tuple(itertools.combinations(range(5), 2))
+        else:
+            self.branch_count, self.branch_degree = 6, 3
+            self.edge_list = tuple((i, 3 + j) for i in range(3) for j in range(3))
 
 
-_BRANCH_COUNT = {Pattern.K5: 5, Pattern.K33: 6}
-_BRANCH_DEGREE = {Pattern.K5: 4, Pattern.K33: 3}
-_EDGE_LIST = {
-    Pattern.K5: tuple(itertools.combinations(range(5), 2)),
-    Pattern.K33: tuple((i, 3 + j) for i in range(3) for j in range(3)),
-}
-_PATTERN_OF_BRANCH_COUNT = {count: p for p, count in _BRANCH_COUNT.items()}
+_PATTERN_OF_BRANCH_COUNT = {p.branch_count: p for p in Pattern}
 
 
 @dataclass(frozen=True)
@@ -105,33 +101,40 @@ def validate_subdivision(g: Graph, cert: SubdivisionCertificate) -> bool:
     branch = cert.branch
     if len(branch) != pattern.branch_count or len(cert.paths) != len(edge_list):
         return False
-    if any(not 0 <= b < g.n for b in branch):
+    n = g.n
+    if any(not 0 <= b < n for b in branch):
         return False
-    if len(set(branch)) != len(branch):
+    # the branch vertices, then each interior vertex once its path is read
+    seen = set(branch)
+    if len(seen) != len(branch):
         return False
-    branch_set = set(branch)
-    interiors_seen: set[int] = set()
-    # K5 and K3,3 join each pair of branch vertices at most once, so two
-    # paths sharing an edge would have an end of it inside one of them;
-    # being a branch vertex or on the other path, it is rejected below
+    adj = g.adj
+    bisect_left = bisect.bisect_left
+    # A path's two ends are distinct branch vertices and each interior
+    # vertex must be new to `seen`, so no path repeats a vertex.  K5 and
+    # K3,3 join each pair of branch vertices at most once, so two paths
+    # sharing an edge would have an end of it inside one of them; being a
+    # branch vertex or on the other path, it is rejected too
     for (pu, pv), path in zip(edge_list, cert.paths):
-        if len(path) < 2 or len(set(path)) != len(path):
+        u, v = branch[pu], branch[pv]
+        if len(path) < 2 or (path[0], path[-1]) not in ((u, v), (v, u)):
             return False
-        ends = {path[0], path[-1]}
-        if ends != {branch[pu], branch[pv]}:
-            return False
+        # each edge against the sorted neighbours of its first end; the
+        # range check keeps adj[-1] from reading the last vertex, and a far
+        # end out of range is in no neighbour list.  adj_mask is not read:
+        # building it costs O(n * m / 64) on a large certificate
         for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
+            if not 0 <= a < n:
+                return False
+            nbrs = adj[a]
+            i = bisect_left(nbrs, b)
+            if i == len(nbrs) or nbrs[i] != b:
                 return False
         for w in path[1:-1]:
-            if w in branch_set or w in interiors_seen:
+            if w in seen:
                 return False
-            interiors_seen.add(w)
+            seen.add(w)
     return True
-
-
-def validate_minor(g: Graph, cert: MinorCertificate) -> bool:
-    return _branch_trees(g, cert) is not None
 
 
 def _branch_trees(g: Graph, cert: MinorCertificate) -> list[Edge] | None:
@@ -171,14 +174,19 @@ def _branch_trees(g: Graph, cert: MinorCertificate) -> list[Edge] | None:
 # ---------------------------------------------------------------------------
 
 
-def _distances_from(
-    g: Graph, sources: list[int]
-) -> dict[int, list[int | None]]:
-    """The BFS distance from each source to every vertex, None where
-    unreachable."""
-    dist: dict[int, list[int | None]] = {}
-    for src in sources:
-        row: list[int | None] = [None] * g.n
+class _DistanceRows(dict):
+    """BFS distance rows of g by source, each built on its first read:
+    `rows[src][v]` is the distance from src to v, None where unreachable."""
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, g: Graph) -> None:
+        super().__init__()
+        self._adj = g.adj
+
+    def __missing__(self, src: int) -> list[int | None]:
+        adj = self._adj
+        row: list[int | None] = [None] * len(adj)
         row[src] = 0
         frontier = [src]
         d = 0
@@ -186,46 +194,67 @@ def _distances_from(
             d += 1
             nxt = []
             for v in frontier:
-                for w in g.adj[v]:
+                for w in adj[v]:
                     if row[w] is None:
                         row[w] = d
                         nxt.append(w)
             frontier = nxt
-        dist[src] = row
-    return dist
+        self[src] = row
+        return row
 
 
-def _branch_assignments(pattern: Pattern, candidates: list[int]):
+def _branch_assignments(
+    pattern: Pattern, candidates: list[int], adj_mask: tuple[int, ...]
+):
     """Branch tuples in ascending order, one per pattern-automorphism orbit.
 
     K5's automorphisms permute all five slots and K3,3's permute within
     parts and swap parts, so sorted slots (with the first part leading for
     K3,3) lose no assignments.
+
+    A K3,3 part is kept only if each of its vertices has three neighbours
+    outside it.  A branch vertex's three strands leave through distinct
+    neighbours, each an interior vertex or a branch vertex of the other
+    part, so a tuple with a part failing this has no routing.  The cut
+    reads one part only, so the parts that pass are listed once; a tuple
+    pairs two disjoint ones, in the order of the uncut tuples.
     """
     if pattern is Pattern.K5:
         yield from itertools.combinations(candidates, 5)
-    else:
-        for part_a in itertools.combinations(candidates, 3):
-            rest = [v for v in candidates if v not in part_a]
-            for part_b in itertools.combinations(rest, 3):
-                if part_a[0] < part_b[0]:
-                    yield part_a + part_b
+        return
+    parts = []
+    for part in itertools.combinations(candidates, 3):
+        own = (1 << part[0]) | (1 << part[1]) | (1 << part[2])
+        if all((adj_mask[v] & ~own).bit_count() >= 3 for v in part):
+            parts.append((part, own))
+    for i, (part_a, own_a) in enumerate(parts):
+        first = part_a[0]
+        for part_b, own_b in parts[i + 1 :]:
+            if first < part_b[0] and not own_a & own_b:
+                yield part_a + part_b
 
 
 def _iter_paths(g: Graph, a: int, b: int, blocked: int):
     """Simple a-b paths whose interior avoids `blocked`, shortest first.
 
-    Within one length, neighbors are explored in ascending order, so the
-    overall order is (length, lexicographic) and fully deterministic.  An
-    edge a-b is the only path of length 1, so it comes out before any
-    search.
+    The order is (length, lexicographic) and fully deterministic: within
+    one length, neighbors are explored in ascending order.  An edge a-b is
+    the only path of length 1, so when there is one it is always the first
+    path yielded; `_route_paths` relies on that to try the edge without
+    building this generator.  The paths of length 2 follow, one per
+    allowed common neighbour in ascending order, read off the adjacency
+    masks; only the longer paths cost a search.
     """
-    shortest = 1
-    if g.has_edge(a, b):
+    adj_mask = g.adj_mask
+    if adj_mask[a] >> b & 1:
         yield (a, b)
-        shortest = 2
-    n = g.n
     allowed = ~blocked
+    common = adj_mask[a] & adj_mask[b] & allowed
+    while common:
+        low = common & -common
+        common ^= low
+        yield (a, low.bit_length() - 1, b)
+    n = g.n
     # BFS from b over allowed vertices for distance pruning.  a gets its
     # distance but is not passed through, since no path revisits it
     dist = [-1] * n
@@ -248,7 +277,7 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
         return
     free = (allowed & ((1 << n) - 1) & ~(1 << a) & ~(1 << b)).bit_count()
     adj = g.adj
-    for length in range(max(dist[a], shortest), free + 2):
+    for length in range(max(dist[a], 3), free + 2):
         # depth-first over the neighbor lists, one iterator per path vertex,
         # on an explicit stack so path length is not capped by recursion
         path = [a]
@@ -281,18 +310,24 @@ def _route_paths(
     g: Graph,
     pattern: Pattern,
     branch: tuple[int, ...],
-    dist: dict[int, list[int | None]],
+    dist: _DistanceRows,
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Vertex-disjoint routing of all pattern edges, or None."""
+    """Vertex-disjoint routing of all pattern edges, or None.  The longest
+    pairs route first; an adjacent pair, at distance 1, is read off the
+    adjacency masks and tries its edge before any other path."""
     edge_list = pattern.edge_list
     m = len(edge_list)
+    adj_mask = g.adj_mask
     branch_mask = 0
     for b in branch:
         branch_mask |= 1 << b
 
     def pair_dist(k: int) -> int:
         pu, pv = edge_list[k]
-        d = dist[branch[pu]][branch[pv]]
+        a, b = branch[pu], branch[pv]
+        if adj_mask[a] >> b & 1:
+            return 1
+        d = dist[a][b]
         return d if d is not None else g.n + 1
 
     order = sorted(range(m), key=lambda k: (-pair_dist(k), k))
@@ -306,8 +341,18 @@ def _route_paths(
         k = order[idx]
         pu, pv = edge_list[k]
         a, b = branch[pu], branch[pv]
+        direct = adj_mask[a] >> b & 1
+        if direct:
+            # the edge is _iter_paths' first path and uses no vertex
+            routed[k] = (a, b)
+            if route(idx + 1):
+                return True
+            routed[k] = None
         blocked = (branch_mask | used_holder[0]) & ~(1 << a) & ~(1 << b)
-        for path in _iter_paths(g, a, b, blocked):
+        paths = _iter_paths(g, a, b, blocked)
+        if direct:
+            next(paths)  # the edge, tried above
+        for path in paths:
             routed[k] = path
             add = 0
             for w in path[1:-1]:
@@ -334,51 +379,40 @@ def _route_paths(
     return None
 
 
-def _parts_let_strands_leave(
-    adj_mask: tuple[int, ...], branch: tuple[int, ...]
-) -> bool:
-    """Whether every branch vertex of a K3,3 tuple has three neighbours
-    outside its own part.  Its three strands leave through distinct
-    neighbours, each an interior vertex or a branch vertex of the other
-    part, so a tuple failing this has no routing."""
-    for part in (branch[:3], branch[3:]):
-        own = (1 << part[0]) | (1 << part[1]) | (1 << part[2])
-        for v in part:
-            if (adj_mask[v] & ~own).bit_count() < 3:
-                return False
-    return True
-
-
 def find_subdivision(g: Graph, pattern: Pattern) -> SubdivisionCertificate | None:
-    """Search for a subdivision of the pattern; certificates are validated
-    by `validate_subdivision`, never trusted on faith.
+    """Search for a subdivision of the pattern: branch tuples in the order
+    of `_branch_assignments`, each kept only if the interiors its pairs'
+    distances ask for fit in the other vertices, then routed.  The first
+    tuple that routes gives the certificate.  The search does not validate
+    it; callers that need a checked answer run `validate_subdivision`.
     """
     need_deg = pattern.branch_degree
     bc = pattern.branch_count
+    edge_list = pattern.edge_list
     candidates = [v for v in range(g.n) if len(g.adj[v]) >= need_deg]
-    if len(candidates) < bc or g.num_edges < len(pattern.edge_list):
+    if len(candidates) < bc or g.num_edges < len(edge_list):
         return None
-    # branch vertices are candidates, so only their distances are read
-    dist = _distances_from(g, candidates)
+    # an adjacent pair adds no interior vertex; the others read a BFS row,
+    # built the first time a tuple asks for it
+    dist = _DistanceRows(g)
     free_budget = g.n - bc
-    k33 = pattern is Pattern.K33
     adj_mask = g.adj_mask
-    for branch in _branch_assignments(pattern, candidates):
-        if k33 and not _parts_let_strands_leave(adj_mask, branch):
-            continue
+    for branch in _branch_assignments(pattern, candidates, adj_mask):
         need = 0
-        feasible = True
-        for pu, pv in pattern.edge_list:
-            d = dist[branch[pu]][branch[pv]]
+        for pu, pv in edge_list:
+            a, b = branch[pu], branch[pv]
+            if adj_mask[a] >> b & 1:
+                continue
+            d = dist[a][b]
             if d is None:
-                feasible = False
                 break
             need += d - 1
-        if not feasible or need > free_budget:
-            continue
-        paths = _route_paths(g, pattern, branch, dist)
-        if paths is not None:
-            return SubdivisionCertificate(pattern, branch, paths)
+            if need > free_budget:
+                break
+        else:
+            paths = _route_paths(g, pattern, branch, dist)
+            if paths is not None:
+                return SubdivisionCertificate(pattern, branch, paths)
     return None
 
 

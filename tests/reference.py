@@ -2,7 +2,7 @@
 
 Smoothing, the isomorphism and homeomorphism tests, brute-force rotation
 enumeration, the canonical form and the mirror of a rotation, face
-boundaries, theta containment
+boundaries, the minor-certificate check, theta containment
 by its definition, the edge-deletion predicates and the canonical edge
 mask: slow or narrow helpers that check the package's own routes from
 outside, and that no command of the package runs.
@@ -27,6 +27,7 @@ from planarcert.graphs import (
     normalize_edge,
 )
 from planarcert.harness import MAX_CLASS_N, _edge_bit_columns, _mask_orbit
+from planarcert.subdivision import MinorCertificate, _branch_trees
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,15 @@ def enumerate_rotation_systems(g: Graph) -> Iterator[Rotation]:
 
 
 # ---------------------------------------------------------------------------
-# Theta containment and the edge-deletion predicates
+# Minor certificates, theta containment and the edge-deletion predicates
 # ---------------------------------------------------------------------------
+
+
+def validate_minor(g: Graph, cert: MinorCertificate) -> bool:
+    """Whether the branch sets are disjoint, non-empty and connected in g
+    and each crossing edge is an edge of g joining its pattern edge's two
+    sets: the check `minor_to_subdivision` makes before it converts."""
+    return _branch_trees(g, cert) is not None
 
 
 def contains_theta_by_paths(g: Graph) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from planarcert.cli import main
 from planarcert.documents import format_edge_list, verdict_to_doc
-from planarcert.graphs import Graph, complete_graph
+from planarcert.graphs import Graph, complete_graph, subdivide_edge
 from planarcert.planarity import decide
 from planarcert.subdivision import Pattern, SubdivisionCertificate, validate_subdivision
 
@@ -184,3 +184,25 @@ def test_certify_refuses_deeply_nested_json_as_an_input_error(folder, capsys, wh
     doc_path.write_text(text)
     assert main(["certify", str(graph_path), str(doc_path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertex", [-1, -6, 6, 7])
+@pytest.mark.parametrize("where", ["first", "interior", "last"])
+def test_certify_refuses_a_path_through_a_vertex_out_of_range(folder, where, vertex):
+    # K5 with its edge 0-1 drawn through vertex 5, so n = 6.  The document
+    # format takes any int as a vertex id, and a bare adj[-1] would read
+    # the last vertex's neighbours
+    g = subdivide_edge(complete_graph(5), (0, 1))
+    doc = verdict_to_doc(g, decide(g))
+    cert = doc["certificate"]
+    path = next(p for p in cert["paths"] if len(p) == 3)
+    path[{"first": 0, "interior": 1, "last": 2}[where]] = vertex
+    sub = SubdivisionCertificate(
+        Pattern(cert["pattern"]), tuple(cert["branch"]), tuple(map(tuple, cert["paths"]))
+    )
+    assert not validate_subdivision(g, sub)
+    graph_path = folder / "range.edges"
+    doc_path = folder / "range.json"
+    graph_path.write_text(format_edge_list(g))
+    doc_path.write_text(json.dumps(doc))
+    assert main(["certify", str(graph_path), str(doc_path)]) == 1

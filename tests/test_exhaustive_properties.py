@@ -20,11 +20,10 @@ from planarcert.subdivision import (
     find_minor,
     find_subdivision,
     minor_to_subdivision,
-    validate_minor,
     validate_subdivision,
 )
 
-from reference import are_homeomorphic
+from reference import are_homeomorphic, validate_minor
 
 
 def test_contraction_stays_simple_n6():

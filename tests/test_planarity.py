@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -205,13 +207,33 @@ def test_decide_refuses_a_minor_certificate_that_does_not_validate(monkeypatch):
     assert decide_via_minor(complete_graph(4)).planar
 
 
+def _bogus(cert):
+    """The certificate with its first path replaced by its second, whose
+    ends are the wrong branch vertices."""
+    return dataclasses.replace(cert, paths=(cert.paths[1], *cert.paths[1:]))
+
+
 def test_route_bits_flags_an_uncertified_minor_answer(monkeypatch):
     import planarcert.planarity as planarity
 
-    monkeypatch.setattr(planarity, "validate_subdivision", lambda g, cert: False)
+    real = planarity.minor_to_subdivision
+    monkeypatch.setattr(
+        planarity, "minor_to_subdivision", lambda g, minor: _bogus(real(g, minor))
+    )
     bits = route_bits(complete_bipartite(3, 3))
     assert bits.minor is None and not bits.agree
     assert bits.left_right is False and bits.subdivision is False
+
+
+def test_route_bits_flags_an_uncertified_subdivision_answer(monkeypatch):
+    import planarcert.planarity as planarity
+
+    real = planarity.find_kuratowski
+    monkeypatch.setattr(planarity, "find_kuratowski", lambda g: _bogus(real(g)))
+    for g in (complete_graph(5), complete_bipartite(3, 3), petersen_graph()):
+        bits = route_bits(g)
+        assert bits.subdivision is None and not bits.agree
+        assert bits.left_right is False and bits.minor is False
 
 
 def test_config_validation():

@@ -39,12 +39,11 @@ from planarcert.subdivision import (
     find_subdivision,
     lift_certificate,
     minor_to_subdivision,
-    validate_minor,
     validate_subdivision,
 )
 
 from conftest import graphs
-from reference import contains_theta_by_paths, cube_graph
+from reference import contains_theta_by_paths, cube_graph, validate_minor
 
 
 def test_pattern_shapes():
@@ -162,17 +161,43 @@ def test_kuratowski_searches_return_what_they_returned_before_the_part_cut():
     )
 
 
+def _every_k33_tuple(candidates):
+    """K3,3 branch tuples before the part cut: sorted parts, the first part
+    holding the least vertex."""
+    for part_a in itertools.combinations(candidates, 3):
+        rest = [v for v in candidates if v not in part_a]
+        for part_b in itertools.combinations(rest, 3):
+            if part_a[0] < part_b[0]:
+                yield part_a + part_b
+
+
+def _parts_let_strands_leave(g, branch):
+    """Every branch vertex has three neighbours outside its own part."""
+    return all(
+        len(set(g.adj[v]) - set(part)) >= 3
+        for part in (branch[:3], branch[3:])
+        for v in part
+    )
+
+
 def test_the_part_cut_skips_only_k33_tuples_without_a_routing():
+    # the search's K3,3 tuples are the uncut ones in their order, and every
+    # tuple cut has no routing
     rng = make_rng(5)
     skipped = 0
     for _ in range(60):
         g = random_graph(8, 0.55, rng)
         candidates = [v for v in range(g.n) if len(g.adj[v]) >= 3]
-        dist = subdivision._distances_from(g, candidates)
-        for branch in subdivision._branch_assignments(Pattern.K33, candidates):
-            if not subdivision._parts_let_strands_leave(g.adj_mask, branch):
+        dist = subdivision._DistanceRows(g)
+        kept = []
+        for branch in _every_k33_tuple(candidates):
+            if _parts_let_strands_leave(g, branch):
+                kept.append(branch)
+            else:
                 skipped += 1
                 assert subdivision._route_paths(g, Pattern.K33, branch, dist) is None
+        searched = subdivision._branch_assignments(Pattern.K33, candidates, g.adj_mask)
+        assert list(searched) == kept
     assert skipped > 1000
 
 

@@ -66,6 +66,48 @@ def test_embedding_stays_below_the_kuratowski_extraction():
     assert not {"random", "collections.deque"} & imported
 
 
+def test_the_verdict_audit_never_builds_adjacency_masks():
+    # Graph.adj_mask costs O(n * m / 64) to build, so the audit that certify
+    # runs on 10^6-edge verdicts stays linear only if nothing it calls reads
+    # it.  Calls are followed by name through every function and method of
+    # the package, which over-approximates what the audit can reach
+    defs: dict[str, list[tuple[str, ast.FunctionDef]]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append((path.name, node))
+
+    def reads_of(fn, attr):
+        return [
+            sub for sub in ast.walk(fn)
+            if isinstance(sub, ast.Attribute) and sub.attr == attr
+            or isinstance(sub, ast.Name) and sub.id == attr
+        ]
+
+    roots = ("validate_subdivision", "face_walks", "verdict_doc_is_valid")
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for _, fn in defs[name]:
+            todo += [
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(fn)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            ]
+    assert set(roots) <= reached
+    found = [
+        f"{module}:{fn.lineno} {name}"
+        for name in sorted(reached)
+        for module, fn in defs[name]
+        if reads_of(fn, "adj_mask")
+    ]
+    assert found == []
+
+
 def test_every_traced_function_resolves():
     # perfbench's tracer patches these names by lookup, so a rename in the
     # package would break per-layer tracing; the file is read, not imported
