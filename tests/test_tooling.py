@@ -78,12 +78,12 @@ def test_the_verdict_audit_never_builds_adjacency_masks():
             if isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, []).append((path.name, node))
 
-    def reads_of(fn, attr):
-        return [
-            sub for sub in ast.walk(fn)
-            if isinstance(sub, ast.Attribute) and sub.attr == attr
-            or isinstance(sub, ast.Name) and sub.id == attr
-        ]
+    def names_in(fn):
+        for sub in ast.walk(fn):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
 
     roots = ("validate_subdivision", "face_walks", "verdict_doc_is_valid")
     reached, todo = set(), list(roots)
@@ -93,17 +93,13 @@ def test_the_verdict_audit_never_builds_adjacency_masks():
             continue
         reached.add(name)
         for _, fn in defs[name]:
-            todo += [
-                sub.id if isinstance(sub, ast.Name) else sub.attr
-                for sub in ast.walk(fn)
-                if isinstance(sub, (ast.Name, ast.Attribute))
-            ]
+            todo += names_in(fn)
     assert set(roots) <= reached
     found = [
         f"{module}:{fn.lineno} {name}"
         for name in sorted(reached)
         for module, fn in defs[name]
-        if reads_of(fn, "adj_mask")
+        if "adj_mask" in names_in(fn)
     ]
     assert found == []
 
