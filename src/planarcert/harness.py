@@ -545,9 +545,6 @@ def verify_menger_cubic(samples: int, seed: int) -> CampaignReport:
     """On random connected cubic graphs, planarity must coincide with the
     absence of a K3,3 subdivision, and no K5 subdivision may ever fit
     (branch vertices would need degree 4)."""
-    rng = make_rng(seed)
-    sizes = MENGER_CUBIC_SIZES
-    graphs = [random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)]
 
     def judge(g: Graph) -> Judgement:
         verdict = decide_via_minor(g)
@@ -556,7 +553,15 @@ def verify_menger_cubic(samples: int, seed: int) -> CampaignReport:
         ok = verdict.planar == (k33 is None) and k5 is None
         return (1, 0, ok) if verdict.planar else (0, 1, ok)
 
-    return _campaign("menger_cubic", graphs, judge)
+    return _campaign("menger_cubic", _menger_cubic_graphs(samples, seed), judge)
+
+
+def _menger_cubic_graphs(samples: int, seed: int) -> list[Graph]:
+    """The menger-cubic campaign's graphs: cubic, their sizes cycling
+    through MENGER_CUBIC_SIZES."""
+    rng = make_rng(seed)
+    sizes = MENGER_CUBIC_SIZES
+    return [random_cubic_graph(sizes[i % len(sizes)], rng) for i in range(samples)]
 
 
 def _lifting_judgement(g: Graph) -> Judgement:

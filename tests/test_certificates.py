@@ -9,8 +9,15 @@ graphs only, runs over the K3,3 in k x k grids for seven k from 3 to 60,
 each relabeled with seeds 0-2, and over the non-planar members of 400
 seeded random graphs on 6 to 40 vertices.  The lifting route runs over
 the lifting campaign's seed-42 stream of 1,000 graphs: for every edge,
-find_kuratowski's certificate of the contraction and its lift.  A change that
-alters a certificate on purpose rewrites the file with
+find_kuratowski's certificate of the contraction and its lift.
+
+On at most 6 vertices no routing ever chooses between two common
+neighbours, so two corpora on more vertices pin the search's own order:
+find_kuratowski over the 1,044 isomorphism classes on 7 vertices, and
+find_subdivision's K3,3 and then K5 certificate over the first 300 graphs
+of the menger-cubic campaign's seed-42 stream.  Their lines follow the
+others.  A change that alters a certificate on purpose rewrites the file
+with
 
     PYTHONPATH=src python tests/test_certificates.py > tests/golden/certificates.kv
 
@@ -19,6 +26,7 @@ and names the changed lines in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -34,12 +42,18 @@ from planarcert.embedding import (
 from planarcert.graphs import contract_edge, enumerate_labeled_graphs, from_edge_mask
 from planarcert.harness import (
     _lifting_graphs,
+    _menger_cubic_graphs,
     enumerate_graph_class_masks,
     make_rng,
     random_graph,
 )
 from planarcert.planarity import decide
-from planarcert.subdivision import find_kuratowski, lift_through_contraction
+from planarcert.subdivision import (
+    Pattern,
+    find_kuratowski,
+    find_subdivision,
+    lift_through_contraction,
+)
 
 from conftest import k33_in_grid, relabeled
 
@@ -65,6 +79,16 @@ def _corpora():
         "k33-grids": grids,
         "random-nonplanar": nonplanar,
         "lifting-42": _lifting_graphs(1000, 42),
+    }
+
+
+@functools.cache
+def _larger_corpora():
+    """The corpora on 7 or more vertices; listing the n = 7 classes takes
+    most of a second, so it is done once per run."""
+    return {
+        "classes-n7": [from_edge_mask(7, mask) for mask in enumerate_graph_class_masks(7)],
+        "menger-cubic-42": _menger_cubic_graphs(300, 42),
     }
 
 
@@ -103,6 +127,9 @@ ROUTES = {
     "lr_kuratowski": lambda g: _certificate_line(lr_kuratowski(g)),
     "find_kuratowski": lambda g: _certificate_line(find_kuratowski(g)),
     "lift_through_contraction": _lifting_line,
+    "find_subdivision": lambda g: json.dumps(
+        [_certificate_json(find_subdivision(g, p)) for p in (Pattern.K33, Pattern.K5)]
+    ),
 }
 SMALL = (
     "decide",
@@ -117,13 +144,15 @@ PLAN = {
     "k33-grids": ("lr_kuratowski",),
     "random-nonplanar": ("lr_kuratowski",),
     "lifting-42": ("lift_through_contraction",),
+    "classes-n7": ("find_kuratowski",),
+    "menger-cubic-42": ("find_subdivision",),
 }
 
 
 def certificate_digests() -> str:
     """The text of certificates.kv, recomputed."""
     lines = []
-    for corpus, graphs in _corpora().items():
+    for corpus, graphs in {**_corpora(), **_larger_corpora()}.items():
         for route in PLAN[corpus]:
             digest = hashlib.sha256()
             for g in graphs:
@@ -139,6 +168,13 @@ def test_corpora_have_the_documented_sizes():
         "k33-grids": 21,
         "random-nonplanar": 252,
         "lifting-42": 1000,
+    }
+
+
+def test_larger_corpora_have_the_documented_sizes():
+    assert {name: len(gs) for name, gs in _larger_corpora().items()} == {
+        "classes-n7": 1044,
+        "menger-cubic-42": 300,
     }
 
 
