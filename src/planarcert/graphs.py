@@ -23,7 +23,7 @@ import bisect
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, InternalInconsistencyError
+from .errors import CapacityError
 
 Edge = tuple[int, int]
 
@@ -312,34 +312,33 @@ def delete_vertices(g: Graph, xs: Iterable[int]) -> tuple[Graph, VertexMap]:
 def contract_edge(g: Graph, e: Edge) -> tuple[Graph, int, VertexMap]:
     """Merge the ends of an edge into one vertex.
 
-    The merged vertex keeps the smaller endpoint's slot.  The resulting
-    loop is dropped and parallel edges are merged, so the result is again
-    simple.  Returns (graph, merged vertex id, vertex map).
+    The smaller endpoint `keep` is the merged vertex and keeps its id; the
+    larger one, `drop`, goes, and every id above it moves down by one, so
+    the vertex map is (0..drop-1, keep, drop..n-2).  The resulting loop is
+    dropped and parallel edges are merged, so the result is again simple.
+    Returns (graph, merged vertex id, vertex map).
     """
     e = normalize_edge(*e)
     keep, drop = e
     if not g.has_edge(keep, drop):
         raise ValueError(f"{e} is not an edge")
-    step = _compaction_map(g.n, {drop})
-    z = step[keep]
-    if z is None:
-        raise InternalInconsistencyError("contraction removed the kept endpoint")
-    adj = _renamed(g.adj, step)
-    merged = adj[z]
+    # one rename for every list: drop leaves, the ids above it move down,
+    # and both keep the order of the list
+    adj = [[w - (w > drop) for w in nbrs if w != drop] for nbrs in g.adj]
+    merged = adj[keep]
     m = g.num_edges - 1
-    for w in g.adj[drop]:
+    for w in adj.pop(drop):
         if w == keep:
             continue
-        nw = step[w]
-        nbrs = adj[nw]
-        i = bisect.bisect_left(nbrs, z)
-        if i < len(nbrs) and nbrs[i] == z:
+        nbrs = adj[w]
+        i = bisect.bisect_left(nbrs, keep)
+        if i < len(nbrs) and nbrs[i] == keep:
             m -= 1  # w was adjacent to both ends: its two edges merge
         else:
-            nbrs.insert(i, z)
-            bisect.insort(merged, nw)
-    vmap = step[:drop] + (z,) + step[drop + 1 :]
-    return Graph.from_adjacency(tuple(map(tuple, adj)), m), z, vmap
+            nbrs.insert(i, keep)
+            bisect.insort(merged, w)
+    vmap = (*range(drop), keep, *range(drop, g.n - 1))
+    return Graph.from_adjacency(tuple(map(tuple, adj)), m), keep, vmap
 
 
 def subdivide_edge(g: Graph, e: Edge) -> Graph:

@@ -10,15 +10,17 @@ it converts it.  The patterns are K5 and K3,3.  Theta-freeness, which the
 edge-deletion lemmas ask about, needs no search: `contains_theta` reads it
 off the biconnected blocks.
 
-All three routes to a Kuratowski certificate read it off one way:
-`pruned_chains` prunes a subgraph to branch vertices and the chains
-between them, and `read_off` names the pattern.  `lr_kuratowski`, in
-`kuratowski`, feeds it the edges the left-right test could not lose,
-`minor_to_subdivision` a spanning tree of each branch set plus the
-crossing edges, and `lift_certificate` a certificate of G/xy with each
-edge at the merged vertex moved back to x or y.  The last two meet the paper's contraction
-lemma: a K5 branch vertex whose strands split 2-2 over two vertices
-gives a K3,3, which `_split_k5` reads off for both.
+All three routes to a Kuratowski certificate name it one way: `read_off`
+takes the chains between the branch vertices and names the pattern.
+`lr_kuratowski`, in `kuratowski`, and `minor_to_subdivision` get the
+chains from `pruned_chains`, which prunes a subgraph to them: the edges
+the left-right test could not lose, or a spanning tree of each branch
+set plus the crossing edges.  `lift_certificate` rewrites the paths of a
+certificate of G/xy where they pass the merged vertex, and reads the
+chains straight off the rewritten paths.  The last two meet the paper's
+contraction lemma: a K5 branch vertex whose strands split 2-2 over two
+vertices gives a K3,3, which `_split_k5` reads off for both.  That split
+is the one case in which the lift prunes.
 """
 
 from __future__ import annotations
@@ -240,8 +242,8 @@ def _iter_paths(g: Graph, a: int, b: int, blocked: int):
     The order is (length, lexicographic) and fully deterministic: within
     one length, neighbors are explored in ascending order.  An edge a-b is
     the only path of length 1, so when there is one it is always the first
-    path yielded; `_route_paths` relies on that to try the edge without
-    building this generator.  The paths of length 2 follow, one per
+    path yielded; `_route_paths` relies on that to route an adjacent pair
+    by its edge without building this generator.  The paths of length 2 follow, one per
     allowed common neighbour in ascending order, read off the adjacency
     masks; only the longer paths cost a search.
     """
@@ -312,70 +314,52 @@ def _route_paths(
     branch: tuple[int, ...],
     dist: _DistanceRows,
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Vertex-disjoint routing of all pattern edges, or None.  The longest
-    pairs route first; an adjacent pair, at distance 1, is read off the
-    adjacency masks and tries its edge before any other path."""
+    """Vertex-disjoint routing of all pattern edges, or None.
+
+    An adjacent pair takes its edge, and only the other pairs are searched,
+    longest first, ties by pattern-edge index.  That finds the routing the
+    search over every pair finds.  An adjacent pair is at distance 1, so it
+    sorted after every other pair, and its edge, `_iter_paths`' first path,
+    uses no vertex: once the other pairs are routed, the edges complete the
+    routing at once, and no other path of an adjacent pair was ever tried.
+    Nor is a routing lost: in any routing, swapping an adjacent pair's path
+    for its edge frees that path's interior and stays disjoint.
+    """
     edge_list = pattern.edge_list
-    m = len(edge_list)
     adj_mask = g.adj_mask
     branch_mask = 0
     for b in branch:
         branch_mask |= 1 << b
-
-    def pair_dist(k: int) -> int:
-        pu, pv = edge_list[k]
+    routed: list[tuple[int, ...]] = []
+    far = []  # (-distance, index, a, b) of each non-adjacent pair
+    for k, (pu, pv) in enumerate(edge_list):
         a, b = branch[pu], branch[pv]
-        if adj_mask[a] >> b & 1:
-            return 1
-        d = dist[a][b]
-        return d if d is not None else g.n + 1
-
-    order = sorted(range(m), key=lambda k: (-pair_dist(k), k))
-
-    routed: list[tuple[int, ...] | None] = [None] * m
+        routed.append((a, b))
+        if not adj_mask[a] >> b & 1:
+            d = dist[a][b]
+            far.append((-(d if d is not None else g.n + 1), k, a, b))
+    far.sort()
+    m = len(far)
     used_holder = [0]
 
     def route(idx: int) -> bool:
         if idx == m:
             return True
-        k = order[idx]
-        pu, pv = edge_list[k]
-        a, b = branch[pu], branch[pv]
-        direct = adj_mask[a] >> b & 1
-        if direct:
-            # the edge is _iter_paths' first path and uses no vertex
-            routed[k] = (a, b)
-            if route(idx + 1):
-                return True
-            routed[k] = None
+        _, k, a, b = far[idx]
         blocked = (branch_mask | used_holder[0]) & ~(1 << a) & ~(1 << b)
-        paths = _iter_paths(g, a, b, blocked)
-        if direct:
-            next(paths)  # the edge, tried above
-        for path in paths:
-            routed[k] = path
+        for path in _iter_paths(g, a, b, blocked):
             add = 0
             for w in path[1:-1]:
                 add |= 1 << w
             used_holder[0] |= add
             if route(idx + 1):
+                routed[k] = path
                 return True
             used_holder[0] &= ~add
-            routed[k] = None
         return False
 
     if route(0):
-        out = []
-        for k, (pu, pv) in enumerate(edge_list):
-            path = routed[k]
-            if path is None:
-                raise InternalInconsistencyError(
-                    f"pattern edge {k} left unrouted by a complete routing"
-                )
-            if path[0] != branch[pu]:
-                path = path[::-1]
-            out.append(path)
-        return tuple(out)
+        return tuple(routed)
     return None
 
 
@@ -823,8 +807,8 @@ def lift_certificate(
     Each path edge at the merged vertex lifts to whichever of x, y its far
     end is adjacent to in G.  A far end adjacent to both goes to the end
     that more of the other strands must take, x on a tie.  When both ends
-    keep strands the edge xy joins them, and the certificate is read off
-    the lifted edges as in `read_off`.
+    keep strands the edge xy joins them, and `read_off` names the lifted
+    certificate.
 
     Pattern rule: K3,3 lifts to itself; K5 lifts to K5 unless
     the merged vertex is a branch vertex whose four strands split 2-2
@@ -844,11 +828,25 @@ def lift_through_contraction(
 ) -> SubdivisionCertificate:
     """`lift_certificate` for a caller that already holds
     `contraction = contract_edge(g, (x, y))` for an edge xy of g; the
-    certificate is still validated in the contracted graph first."""
+    certificate is still validated in the contracted graph first.
+
+    The paths are written in g's ids and rewritten in place where they
+    pass the merged vertex z, with each neighbour of z sent to an end of
+    xy by `lift_certificate`'s rule (the major end is the one more of
+    them must take, x on a tie):
+    - z becomes the end of xy its neighbour is sent to;
+    - an interior z whose two neighbours go to different ends becomes
+      x, y in path order;
+    - a branch strand sent to the minor end becomes major, minor, w, ...
+    The rewritten paths are exactly a subdivision, so `read_off` takes its
+    chains straight from them.  Only a K5 branch vertex whose strands
+    split 2-2 has no such rewriting; its lifted edges, with xy, are pruned
+    and split by `_split_k5`.
+    """
     contracted, z, vmap = contraction
     if not validate_subdivision(contracted, cert):
         raise ValueError("certificate does not validate in the contracted graph")
-    inv = [-1] * contracted.n  # z stays -1 until each edge at it is lifted
+    inv = [-1] * contracted.n  # z stays -1 until each path at it is rewritten
     for old, new in enumerate(vmap):
         if old != x and old != y:
             if new is None:
@@ -856,30 +854,51 @@ def lift_through_contraction(
                     f"contraction of ({x}, {y}) dropped vertex {old}"
                 )
             inv[new] = old
-    edges = [(inv[a], inv[b]) for path in cert.paths for a, b in zip(path, path[1:])]
-    at_z = [i for i, e in enumerate(edges) if -1 in e]
-    if at_z:
-        # each edge at z lifts to the end of xy its far end w meets in g;
-        # a w that meets both goes to the end more of the others must
-        # take, x on a tie
-        far = [max(edges[i]) for i in at_z]
+    branch = [inv[b] for b in cert.branch]
+    paths = [[inv[v] for v in path] for path in cert.paths]
+    spots = []  # (path, position of z, position of a neighbour of z)
+    for path in paths:
+        if -1 in path:
+            i = path.index(-1)
+            if i:
+                spots.append((path, i, i - 1))
+            if i + 1 < len(path):
+                spots.append((path, i, i + 1))
+    if spots:
+        far = [path[j] for path, _, j in spots]
         xm, ym = g.adj_mask[x], g.adj_mask[y]
         if any(not (xm | ym) >> w & 1 for w in far):
             raise InternalInconsistencyError("contracted adjacency has no preimage")
         held_x = sum(not ym >> w & 1 for w in far)
         held_y = sum(not xm >> w & 1 for w in far)
         major, minor, major_mask = (x, y, xm) if held_x >= held_y else (y, x, ym)
-        for i, w in zip(at_z, far):
-            edges[i] = (major if major_mask >> w & 1 else minor, w)
-        if held_x and held_y:
+        ends = [major if major_mask >> w & 1 else minor for w in far]
+        if -1 not in branch:  # z is interior: its two neighbours on one path
+            (path, i, _), _ = spots
+            path[i : i + 1] = ends if ends[0] != ends[1] else ends[:1]
+        elif ends.count(minor) == 2:  # a K5 branch vertex split 2-2
+            for (path, i, _), end in zip(spots, ends):
+                path[i] = end
+            edges = [(a, b) for path in paths for a, b in zip(path, path[1:])]
             edges.append((x, y))
-    chains = pruned_chains(edges)
-    if len(chains) > cert.pattern.branch_count:  # z's strands split 2-2
-        part = {inv[b]: p for p, b in enumerate(cert.branch)}
-        part[x] = part[y] = part.pop(-1)
-        droppable, k = [], 0  # the first edge of each path
-        for path in cert.paths:
-            droppable.append(edges[k])
-            k += len(path) - 1
-        chains = _split_k5(cert.pattern, edges, chains, part, droppable)
+            part = dict(zip(branch, range(len(branch))))
+            part[x] = part[y] = part.pop(-1)
+            droppable = [(path[0], path[1]) for path in paths]
+            return read_off(
+                _split_k5(cert.pattern, edges, pruned_chains(edges), part, droppable)
+            )
+        else:
+            branch[branch.index(-1)] = major
+            for (path, i, _), end in zip(spots, ends):
+                if end == major:
+                    path[i] = major
+                elif i:
+                    path[i:] = (minor, major)
+                else:
+                    path[:1] = (major, minor)
+    chains: dict[int, list[tuple[int, ...]]] = {b: [] for b in branch}
+    for (pu, pv), path in zip(cert.pattern.edge_list, paths):
+        chain = tuple(path)
+        chains[branch[pu]].append(chain)
+        chains[branch[pv]].append(chain[::-1])
     return read_off(chains)

@@ -2,10 +2,11 @@
 
 Smoothing, the isomorphism and homeomorphism tests, brute-force rotation
 enumeration, the canonical form and the mirror of a rotation, face
-boundaries, the minor-certificate check, theta containment
-by its definition, the edge-deletion predicates and the canonical edge
-mask: slow or narrow helpers that check the package's own routes from
-outside, and that no command of the package runs.
+boundaries, the minor-certificate check, theta containment by its
+definition, the edge-deletion predicates, the lift of a certificate by
+pruning and the canonical edge mask: slow or narrow helpers that check
+the package's own routes from outside, and that no command of the
+package runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from planarcert.graphs import (
     normalize_edge,
 )
 from planarcert.harness import MAX_CLASS_N, _edge_bit_columns, _mask_orbit
-from planarcert.subdivision import MinorCertificate, _branch_trees
+from planarcert.subdivision import (
+    MinorCertificate,
+    SubdivisionCertificate,
+    _branch_trees,
+    _split_k5,
+    pruned_chains,
+    read_off,
+    validate_subdivision,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +298,61 @@ def deletion_lemma_predicates(g: Graph, x: int, y: int) -> tuple[bool, bool]:
     reduced, _ = delete_vertices(g, (x, y))
     deg_ok = reduced.n > 0 and all(len(nbrs) >= 2 for nbrs in reduced.adj)
     return deg_ok, not contains_theta_by_paths(reduced)
+
+
+# ---------------------------------------------------------------------------
+# Certificate lifting through contraction
+# ---------------------------------------------------------------------------
+
+
+def lift_by_pruning(
+    g: Graph,
+    x: int,
+    y: int,
+    contraction: tuple[Graph, int, VertexMap],
+    cert: SubdivisionCertificate,
+) -> SubdivisionCertificate:
+    """`lift_through_contraction` as a read-off of edges: every path edge
+    mapped back to g, each edge at the merged vertex moved to the end of
+    xy its far end meets (one that meets both goes to the end more of the
+    others must take, x on a tie), the edge xy added when both ends keep
+    strands, and the result pruned to its chains, with `_split_k5` for a
+    K5 branch vertex split 2-2."""
+    contracted, z, vmap = contraction
+    if not validate_subdivision(contracted, cert):
+        raise ValueError("certificate does not validate in the contracted graph")
+    inv = [-1] * contracted.n  # z stays -1 until each edge at it is lifted
+    for old, new in enumerate(vmap):
+        if old != x and old != y:
+            if new is None:
+                raise InternalInconsistencyError(
+                    f"contraction of ({x}, {y}) dropped vertex {old}"
+                )
+            inv[new] = old
+    edges = [(inv[a], inv[b]) for path in cert.paths for a, b in zip(path, path[1:])]
+    at_z = [i for i, e in enumerate(edges) if -1 in e]
+    if at_z:
+        far = [max(edges[i]) for i in at_z]
+        xm, ym = g.adj_mask[x], g.adj_mask[y]
+        if any(not (xm | ym) >> w & 1 for w in far):
+            raise InternalInconsistencyError("contracted adjacency has no preimage")
+        held_x = sum(not ym >> w & 1 for w in far)
+        held_y = sum(not xm >> w & 1 for w in far)
+        major, minor, major_mask = (x, y, xm) if held_x >= held_y else (y, x, ym)
+        for i, w in zip(at_z, far):
+            edges[i] = (major if major_mask >> w & 1 else minor, w)
+        if held_x and held_y:
+            edges.append((x, y))
+    chains = pruned_chains(edges)
+    if len(chains) > cert.pattern.branch_count:  # z's strands split 2-2
+        part = {inv[b]: p for p, b in enumerate(cert.branch)}
+        part[x] = part[y] = part.pop(-1)
+        droppable, k = [], 0  # the first edge of each path
+        for path in cert.paths:
+            droppable.append(edges[k])
+            k += len(path) - 1
+        chains = _split_k5(cert.pattern, edges, chains, part, droppable)
+    return read_off(chains)
 
 
 # ---------------------------------------------------------------------------

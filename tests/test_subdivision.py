@@ -24,6 +24,7 @@ from planarcert.graphs import (
     subdivide_edge,
 )
 from planarcert.harness import (
+    _lifting_graphs,
     enumerate_graph_class_masks,
     make_rng,
     random_cubic_graph,
@@ -43,7 +44,7 @@ from planarcert.subdivision import (
 )
 
 from conftest import graphs
-from reference import contains_theta_by_paths, cube_graph, validate_minor
+from reference import contains_theta_by_paths, cube_graph, lift_by_pruning, validate_minor
 
 
 def test_pattern_shapes():
@@ -519,6 +520,59 @@ def test_lift_refuses_a_2_2_split_outside_k5():
         subdivision._split_k5(Pattern.K33, list(edges), chains, part, droppable)
 
 
+def _merged_vertex_role(g, x, y, contraction, cert):
+    """Where the merged vertex z sits in cert: absent, interior (its two
+    neighbours sent to one end of xy or split over both) or a branch
+    vertex, with its strands' split over the two ends as (major, minor)."""
+    _, z, vmap = contraction
+    if z in cert.branch:
+        role = f"{cert.pattern.value} branch"
+        far = [path[1] if path[0] == z else path[-2] for path in cert.paths if z in path]
+    else:
+        path = next((path for path in cert.paths if z in path), None)
+        if path is None:
+            return "absent"
+        role = "interior"
+        i = path.index(z)
+        far = [path[i - 1], path[i + 1]]
+    inv = {new: old for old, new in enumerate(vmap) if old not in (x, y)}
+    only_x = sum(not g.has_edge(inv[w], y) for w in far)
+    only_y = sum(not g.has_edge(inv[w], x) for w in far)
+    minor = min(only_x, only_y)
+    if role == "interior":
+        return "interior split" if minor else "interior one end"
+    return f"{role} {len(far) - minor}-{minor}"
+
+
+def test_lifts_equal_the_reference_lift_in_every_role_of_the_merged_vertex():
+    # the lifting campaign's seed-42 stream, every edge whose contraction
+    # has a certificate: the path rewriting must give the certificate that
+    # pruning the lifted edges gives, for z in each of its roles
+    roles = {}
+    for g in _lifting_graphs(1000, 42):
+        for x, y in g.sorted_edges():
+            contraction = contract_edge(g, (x, y))
+            cert = find_kuratowski(contraction[0])
+            if cert is None:
+                continue
+            lifted = lift_certificate(g, x, y, cert)
+            assert lifted == lift_by_pruning(g, x, y, contraction, cert)
+            role = _merged_vertex_role(g, x, y, contraction, cert)
+            roles[role] = roles.get(role, 0) + 1
+            split = role == "K5 branch 2-2"
+            assert (lifted.pattern is Pattern.K33) == (split or cert.pattern is Pattern.K33)
+    assert roles == {
+        "K5 branch 4-0": 1751,
+        "K5 branch 3-1": 1165,
+        "K5 branch 2-2": 107,
+        "K33 branch 3-0": 145,
+        "K33 branch 2-1": 105,
+        "interior one end": 211,
+        "interior split": 30,
+        "absent": 50,
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=2, max_n=7), st.integers(min_value=0, max_value=10**6))
 def test_lift_soundness_random(g, pick):
@@ -550,6 +604,24 @@ def test_searchers_always_emit_valid_certificates(g):
         # topological containment implies minor containment
         if cert is not None:
             assert m is not None
+
+
+def test_router_builds_path_generators_only_for_non_adjacent_pairs(monkeypatch):
+    built = []
+    real = subdivision._iter_paths
+
+    def spy(g, a, b, blocked):
+        built.append((a, b))
+        return real(g, a, b, blocked)
+
+    monkeypatch.setattr(subdivision, "_iter_paths", spy)
+    k5 = complete_graph(5)
+    assert find_subdivision(k5, Pattern.K5).paths == Pattern.K5.edge_list
+    assert built == []
+    # vertex 5 splits the edge 0-1: that pair alone is searched
+    cert = find_subdivision(subdivide_edge(k5, (0, 1)), Pattern.K5)
+    assert cert.paths[0] == (0, 5, 1) and cert.paths[1:] == Pattern.K5.edge_list[1:]
+    assert built == [(0, 1)]
 
 
 def test_subdivision_search_determinism():

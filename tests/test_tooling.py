@@ -243,3 +243,84 @@ def test_every_public_definition_is_used_or_exported():
     # package: a public function, class or method is called by the package,
     # or exported if it is module-level
     assert _unused_definitions(public=True) == []
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return fn
+
+
+def _calls(fn: ast.FunctionDef, name: str) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    ]
+
+
+def _arg_names(call: ast.Call) -> list[str | None]:
+    return [arg.id if isinstance(arg, ast.Name) else None for arg in call.args]
+
+
+def test_the_lifting_campaign_keeps_its_checks():
+    # skipping a validation is the tempting speedup of the lifting stream:
+    # the lift must check the certificate in the contracted graph and
+    # refuse it there, and the campaign must check each lift in g
+    lift = _function("subdivision", "lift_through_contraction")
+    (unpack,) = [
+        node
+        for node in lift.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "contraction"
+    ]
+    contracted = unpack.targets[0].elts[0].id
+    refusals = [
+        stmt.test.operand
+        for stmt in lift.body
+        if isinstance(stmt, ast.If)
+        and isinstance(stmt.test, ast.UnaryOp)
+        and isinstance(stmt.test.op, ast.Not)
+        and isinstance(stmt.body[0], ast.Raise)
+    ]
+    assert any(
+        call in refusals and _arg_names(call) == [contracted, "cert"]
+        for call in _calls(lift, "validate_subdivision")
+    )
+
+    judge = _function("harness", "_lifting_judgement")
+    graph = judge.args.args[0].arg
+    lifted = {
+        target.id
+        for node in ast.walk(judge)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and node.value in _calls(judge, "lift_through_contraction")
+        for target in node.targets
+    }
+    assert any(
+        _arg_names(call)[0] == graph and _arg_names(call)[1] in lifted
+        for call in _calls(judge, "validate_subdivision")
+    )
+    # each step by the name harness imports it under, which perfbench's
+    # tracer rebinds; a local alias made inside the function would hide it
+    harness = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in harness.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    bound = {
+        node.id
+        for node in ast.walk(judge)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    steps = ("contract_edge", "find_kuratowski", "lift_through_contraction", "validate_subdivision")
+    for step in steps:
+        assert _calls(judge, step) and step in imported and step not in bound
