@@ -856,16 +856,16 @@ def lift_through_contraction(
             inv[new] = old
     branch = [inv[b] for b in cert.branch]
     paths = [[inv[v] for v in path] for path in cert.paths]
-    spots = []  # (path, position of z, position of a neighbour of z)
+    spots = []  # (path, position of z, a neighbour of z on it)
     for path in paths:
         if -1 in path:
             i = path.index(-1)
             if i:
-                spots.append((path, i, i - 1))
+                spots.append((path, i, path[i - 1]))
             if i + 1 < len(path):
-                spots.append((path, i, i + 1))
+                spots.append((path, i, path[i + 1]))
     if spots:
-        far = [path[j] for path, _, j in spots]
+        far = [w for _, _, w in spots]
         xm, ym = g.adj_mask[x], g.adj_mask[y]
         if any(not (xm | ym) >> w & 1 for w in far):
             raise InternalInconsistencyError("contracted adjacency has no preimage")
